@@ -2,8 +2,8 @@
 // ablation): most traffic hits a small moving window of keys, so a
 // handful of physical partitions carry the load and the hot set changes
 // mid-run. Compares Bohm with a static partition -> CC-thread map against
-// Bohm with adaptive repartitioning (plus 2PL as the
-// partitioning-oblivious reference). The JSON rows carry cc_migrations,
+// Bohm with adaptive repartitioning on the same physical partition layout
+// (plus 2PL as the partitioning-oblivious reference). The JSON rows carry cc_migrations,
 // cc_imbalance and cc_stall_us so the win is attributable: static Bohm
 // shows a high imbalance gauge and execution stalled on the hot CC
 // thread's watermark; adaptive shows migrations > 0 and the gauge pulled

@@ -14,9 +14,9 @@
 #     durability — the keys must still be emitted so the ablation JSON
 #     stays line-compatible), and
 #   - the adaptive-repartitioning counters: cc_migrations and
-#     cc_imbalance present and >= 0 on every Bohm point (zero / 1.0 when
-#     the engine runs the static assignment — again, the keys must be
-#     emitted unconditionally).
+#     cc_imbalance present and >= 0 on every Bohm point (zero migrations
+#     when migration is off; the imbalance gauge is real either way —
+#     again, the keys must be emitted unconditionally).
 #
 # With BOHM_SMOKE_REQUIRE_MIGRATIONS=1 (the hotspot-bench smoke sets it:
 # that bench runs an adaptive point under skewed traffic, so a zero
@@ -102,7 +102,7 @@ awk -v min_tput="$min_tput" -v require_migrations="$require_migrations" '
       bad++
     }
     # Adaptive counters must be emitted on every Bohm point; zero
-    # migrations / imbalance 1.0 is the legal static-assignment reading.
+    # migrations is the legal reading with migration off.
     if (cc_migr < 0 || cc_imb < 0) {
       print "FAIL: Bohm point missing adaptive counters (cc_migrations " \
             cc_migr ", cc_imbalance " cc_imb "): " $0

@@ -13,11 +13,12 @@
 // while execution is still inside b (Section 3.3.1).
 //
 // The ring has a fixed number of slots. A slot for batch b is reused for
-// batch b + depth only once every execution thread has finished b, which
-// the sequencer checks against the execution low-watermark — the same
-// watermark that drives garbage collection (Section 3.3.2). Because the
-// execution watermark can never pass the CC watermark, slot reuse also
-// implies every CC thread has left the batch.
+// batch b + depth only once no execution thread can still reach b, which
+// the sequencer checks against the execution threads' reclamation pins
+// (rule R8). A pin never passes its thread's execution watermark — the
+// watermark that drives garbage collection (Section 3.3.2) — and that
+// watermark can never pass the CC watermark, so slot reuse also implies
+// every execution and CC thread has left the batch.
 //
 // The Batch struct itself carries no publication state: the feed-ring
 // push is the sequencer's release publication of the filled slot, and the
@@ -41,21 +42,19 @@ struct Batch {
   std::vector<ProcedurePtr> procs;
   /// Holds the BohmTxn objects and their read/write ref arrays.
   Arena arena{1u << 16};
-  /// Partition-map stamp (adaptive CC repartitioning, rule R7): the epoch
-  /// and owner array (partition -> CC thread) this batch was sequenced
-  /// under. Written by the sequencer before the feed push (plain stores
-  /// riding the R5 release edge); CC threads route every read/write-set
-  /// element by owners[PartitionOf(key)]. The pointed-to array outlives
-  /// the batch: map versions are retired only after the execution
-  /// watermark passes their last stamped batch.
-  uint64_t part_epoch = 0;
+  /// Partition-map stamp (rule R7): the owner array (partition -> CC
+  /// thread) this batch was sequenced under. Written by the sequencer
+  /// before the feed push (a plain store riding the R5 release edge); CC
+  /// threads route every read/write-set element by
+  /// owners[PartitionOf(key)]. The pointed-to array outlives the batch:
+  /// map versions are retired only after the execution watermark passes
+  /// their last stamped batch.
   const uint32_t* owners = nullptr;
 
   void ResetForReuse() {
     txns.clear();
     procs.clear();
     arena.Reset();
-    part_epoch = 0;
     owners = nullptr;
   }
 };

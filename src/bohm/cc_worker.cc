@@ -3,11 +3,10 @@
 // Every CC thread walks every batch in log order and, for each
 // transaction, processes exactly those read/write-set elements whose
 // physical partition (static hash of the key) it currently owns under
-// the batch's partition map (identity when adaptive repartitioning is
-// off). The decision is purely thread-local; two CC threads never touch
-// the same record inside one map epoch, and epoch handoff is ordered by
-// the watermark/feed edges (rule R7), so version insertion needs no
-// synchronization. The only cross-thread
+// the batch's partition map. The decision is purely thread-local; two CC
+// threads never touch the same record inside one map epoch, and epoch
+// handoff is ordered by the watermark/feed edges (rule R7), so version
+// insertion needs no synchronization. The only cross-thread
 // coordination is one release store per batch: each thread advances its
 // own cc_watermark_ slot when its partition slice is done and streams
 // straight into the next batch — it never waits for its peers. The
@@ -79,10 +78,9 @@ void BohmEngine::CcProcessTxn(uint32_t cc_id, BohmTxn* txn, int64_t batch_id) {
   CcState& st = *cc_state_[cc_id];
   // Route by the batch's partition map, not by thread id: the physical
   // partition (static hash) selects the index shard, the map says whether
-  // this thread currently owns it (rule R7). With adaptive off the map is
-  // the identity, reproducing the original PartitionOf(key) == cc_id
-  // routing. The owners array was published by the feed push (rule R5)
-  // and stays alive until the batch is fully executed.
+  // this thread currently owns it (rule R7). The owners array was
+  // published by the feed push (rule R5) and stays alive until the batch
+  // is fully executed.
   const Batch* batch = ring_.Slot(batch_id);
   const uint32_t* owners = batch->owners;
   RelaxedCounter* touch = st.touch.get();
@@ -98,7 +96,7 @@ void BohmEngine::CcProcessTxn(uint32_t cc_id, BohmTxn* txn, int64_t batch_id) {
       BohmTable* table = db_.table(r.rec.table);
       const uint32_t part = table->PartitionOf(r.rec.key);
       if (owners[part] != cc_id) continue;
-      if (touch != nullptr) touch[part].Inc();
+      touch[part].Inc();
       BohmIndexEntry* entry = table->Find(part, r.rec.key);
       // relaxed: this CC thread is the current single writer of heads in
       // the partitions it owns (ownership handoff itself rides the
@@ -122,7 +120,7 @@ void BohmEngine::CcProcessTxn(uint32_t cc_id, BohmTxn* txn, int64_t batch_id) {
     BohmTable* table = db_.table(w.rec.table);
     const uint32_t part = table->PartitionOf(w.rec.key);
     if (owners[part] != cc_id) continue;
-    if (touch != nullptr) touch[part].Inc();
+    touch[part].Inc();
 
     Version* v = st.alloc.Alloc(w.rec.table, record_sizes_[w.rec.table]);
     v->begin_ts = txn->ts;

@@ -1,5 +1,6 @@
 #include "bohm/engine.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/affinity.h"
@@ -11,16 +12,17 @@ namespace bohm {
 
 namespace {
 
-/// Physical partitions per table. Static assignment: one per CC thread.
-/// Adaptive: many more than cc_threads so whole partitions can migrate at
-/// useful granularity (auto = 8 per thread, floor 128, cap 1024).
+/// Physical partitions per table. The migration knob plays no part: a
+/// static run and an adaptive run share one layout and differ only in
+/// whether the controller stages migrations. One CC thread gets a single
+/// partition (there is nothing to migrate between); more threads get 8
+/// per thread, clamped to [128, 1024], so whole partitions can move at
+/// useful granularity.
 uint32_t EffectivePartitions(const BohmConfig& cfg) {
-  if (!cfg.adaptive.enabled) return cfg.cc_threads;
   if (cfg.adaptive.partitions != 0) return cfg.adaptive.partitions;
-  uint64_t p = NextPow2(static_cast<uint64_t>(cfg.cc_threads) * 8);
-  if (p < 128) p = 128;
-  if (p > 1024) p = 1024;
-  return static_cast<uint32_t>(p);
+  if (cfg.cc_threads == 1) return 1;
+  const uint64_t p = NextPow2(static_cast<uint64_t>(cfg.cc_threads) * 8);
+  return static_cast<uint32_t>(std::clamp<uint64_t>(p, 128, 1024));
 }
 
 }  // namespace
@@ -46,6 +48,7 @@ BohmEngine::BohmEngine(const Catalog& catalog, BohmConfig cfg)
                                                     : cfg_.input_queue_capacity)),
       cc_watermark_(cfg_.cc_threads),
       exec_watermark_(cfg_.exec_threads),
+      exec_pin_(cfg_.exec_threads),
       stats_(cfg_.exec_threads) {
   record_sizes_.resize(catalog_.MaxTableId(), 0);
   for (const TableSpec& t : catalog_.tables()) {
@@ -59,16 +62,14 @@ BohmEngine::BohmEngine(const Catalog& catalog, BohmConfig cfg)
   for (uint32_t i = 0; i < cfg_.cc_threads; ++i) {
     cc_state_.push_back(std::make_unique<CcState>());
     cc_state_.back()->alloc.set_owner(i);
-    if (cfg_.adaptive.enabled) {
-      cc_state_.back()->touch =
-          std::make_unique<RelaxedCounter[]>(db_.partitions());
-      // Handback ring for versions this thread allocated but a later
-      // owner of the partition retires. Sized for the transient after a
-      // migration (one foreign retiree per migrated record on its first
-      // supersede); producers spill locally and retry when full.
-      cc_state_.back()->handback =
-          std::make_unique<MpmcQueue<std::pair<Version*, int64_t>>>(1024);
-    }
+    cc_state_.back()->touch =
+        std::make_unique<RelaxedCounter[]>(db_.partitions());
+    // Handback ring for versions this thread allocated but a later owner
+    // of the partition retires. Sized for the transient after a migration
+    // (one foreign retiree per migrated record on its first supersede);
+    // producers spill locally and retry when full.
+    cc_state_.back()->handback =
+        std::make_unique<MpmcQueue<std::pair<Version*, int64_t>>>(1024);
     cc_feed_.push_back(std::make_unique<SpscQueue<int64_t>>(feed_capacity));
     cc_stall_.push_back(std::make_unique<StallSlot>());
   }
@@ -137,10 +138,10 @@ Status BohmEngine::Start() {
         "interest_preprocessing requires cc_threads <= 64 (the cc_interest "
         "mask is 64 bits wide); disable it to run more CC threads");
   }
-  if (cfg_.adaptive.enabled && db_.partitions() < cfg_.cc_threads) {
+  if (db_.partitions() < cfg_.cc_threads) {
     return Status::InvalidArgument(
-        "adaptive.partitions must be >= cc_threads (every CC thread needs "
-        "at least one partition to own)");
+        "partition count must be >= cc_threads (every CC thread needs at "
+        "least one partition to own)");
   }
   if (cfg_.durability.enabled && !recovered_) {
     // A pre-existing log means there is committed history on disk.

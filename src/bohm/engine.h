@@ -7,8 +7,8 @@
 //          position in the log; accumulates batches (Sections 3.2.1, 3.2.4)
 //      --> m concurrency-control threads: each walks every batch and
 //          processes exactly the physical partitions the batch's
-//          partition map assigns to it (static per thread unless
-//          adaptive repartitioning is on; bohm/repartition.h) — inserts
+//          partition map assigns to it (fixed unless adaptive
+//          repartitioning migrates them; bohm/repartition.h) — inserts
 //          uninitialized version placeholders for writes and annotates
 //          reads with version references (Sections 3.2.2, 3.2.3); each
 //          thread advances its own epoch watermark per batch instead of
@@ -92,8 +92,7 @@ struct RecoveryStats {
 
 struct BohmConfig {
   /// m: concurrency-control threads (each owns the physical hash
-  /// partitions the partition map assigns to it; exactly one per thread
-  /// unless `adaptive` is enabled).
+  /// partitions the partition map assigns to it).
   uint32_t cc_threads = 2;
   /// n: transaction-execution threads.
   uint32_t exec_threads = 2;
@@ -127,11 +126,10 @@ struct BohmConfig {
   /// silently computing an undefined shift. Disable it explicitly to run
   /// with more than 64 CC threads.
   bool interest_preprocessing = true;
-  /// Adaptive CC repartitioning (src/bohm/repartition.h): decouple the
-  /// physical index partition from the owning CC thread and migrate hot
-  /// partitions between threads at batch boundaries. Off by default; when
-  /// off the engine uses the original static one-partition-per-thread
-  /// assignment (routed through an identity map).
+  /// CC partition routing (src/bohm/repartition.h): the physical
+  /// partition count and whether hot partitions migrate between threads
+  /// at batch boundaries. Migration is off by default, which keeps the
+  /// initial partition -> thread map (the paper's static assignment).
   AdaptiveCcConfig adaptive;
   /// Durable sequencer log + crash recovery (docs/DURABILITY.md).
   DurabilityConfig durability;
@@ -142,7 +140,7 @@ struct BohmConfig {
 /// a callback that blocks freezes exactly that thread (the streaming tests
 /// use this to pin a CC thread mid-batch and prove execution still honours
 /// the watermark). Install before Start(); unset hooks cost one pointer
-/// check per batch, never per transaction.
+/// check per batch or per unready read dependency, never per transaction.
 struct BohmTestHooks {
   /// CC thread `cc_id` is about to process its slice of `batch_id`.
   std::function<void(uint32_t cc_id, int64_t batch_id)> cc_batch_start;
@@ -154,6 +152,10 @@ struct BohmTestHooks {
   std::function<void(uint32_t exec_id, int64_t batch_id)> exec_batch_start;
   /// Exec thread `exec_id` completed its stripe of `batch_id`.
   std::function<void(uint32_t exec_id, int64_t batch_id)> exec_batch_end;
+  /// Exec thread `exec_id` found a read dependency unready and is about
+  /// to try to claim its producer, a transaction of `producer_batch`.
+  std::function<void(uint32_t exec_id, int64_t producer_batch)>
+      exec_dependency;
 };
 
 class BohmEngine {
@@ -251,11 +253,10 @@ class BohmEngine {
   uint64_t gc_freed_versions() const;
   const BohmConfig& config() const { return cfg_; }
 
-  /// Physical partitions per table (== cc_threads unless adaptive
-  /// repartitioning is enabled).
+  /// Physical partitions per table (independent of `adaptive.enabled`).
   uint32_t partition_count() const { return db_.partitions(); }
   /// Partitions migrated between CC threads so far (monotone; 0 with
-  /// adaptive repartitioning off).
+  /// migration disabled).
   uint64_t cc_migrations() const { return repart_->migrations(); }
   /// Epoch of the currently promoted partition map (0 = initial).
   uint64_t partition_map_epoch() const { return repart_->epoch(); }
@@ -275,16 +276,14 @@ class BohmEngine {
     std::deque<std::pair<Version*, int64_t>> retired;  // (version, batch)
     RelaxedCounter freed;
     RelaxedCounter versions_created;
-    /// Per-partition touch counters (adaptive repartitioning only, else
-    /// null). Single-writer: at any moment each partition has exactly one
-    /// owner, and ownership handoff rides the watermark/feed edges, so a
-    /// slot never has two concurrent writers. The sequencer folds them
-    /// between batches.
+    /// Per-partition touch counters. Single-writer: at any moment each
+    /// partition has exactly one owner, and ownership handoff rides the
+    /// watermark/feed edges, so a slot never has two concurrent writers.
+    /// The sequencer folds them between batches.
     std::unique_ptr<RelaxedCounter[]> touch;
     /// Retirees allocated by this thread but retired by another (the
     /// partition migrated in between): producers TryPush here, the owner
-    /// drains into `retired`. Null when adaptive is off — the allocator
-    /// and retirer then always coincide.
+    /// drains into `retired`.
     std::unique_ptr<MpmcQueue<std::pair<Version*, int64_t>>> handback;
     /// Producer-side spill when a handback ring is momentarily full;
     /// retried on this thread's next DrainRetired (never blocks CC).
@@ -301,7 +300,7 @@ class BohmEngine {
   void SealBatch(Batch* batch, int64_t id);
   /// Folds the per-thread per-partition touch counters into
   /// touch_totals_ and feeds them to the repartition controller
-  /// (sequencer thread only; adaptive repartitioning only).
+  /// (sequencer thread only).
   void FoldTouchCounters();
   /// Encodes + hands the sealed batch to the log writer (sequencer thread
   /// only; no-op while replaying).
@@ -316,6 +315,9 @@ class BohmEngine {
 
   // --- execution stage (exec_worker.cc) ---
   void ExecLoop(uint32_t exec_id);
+  /// Raises this thread's exec_pin_ slot to the current Watermark()
+  /// (exec thread only, never while it holds a producer pointer).
+  void RefreshExecPin(uint32_t exec_id);
   bool TryExecute(uint32_t exec_id, BohmTxn* txn, uint32_t depth);
   bool EnsureReady(uint32_t exec_id, Version* v, uint32_t depth);
   Version* ResolveRead(ReadRef& ref, uint64_t ts) const;
@@ -337,8 +339,7 @@ class BohmEngine {
   Catalog catalog_;
   BohmConfig cfg_;
   BohmDatabase db_;
-  /// Partition -> owner-thread map machinery (always present; an identity
-  /// map that never migrates when adaptive is off). Mutated only by the
+  /// Partition -> owner-thread map machinery. Mutated only by the
   /// sequencer; monitors are release-published.
   std::unique_ptr<RepartitionController> repart_;
   /// Sequencer-private scratch for the per-partition touch-counter fold.
@@ -349,8 +350,12 @@ class BohmEngine {
   std::vector<std::unique_ptr<CcState>> cc_state_;
   /// Per-thread CC progress; execution admits batch b when Min() >= b.
   WatermarkSet cc_watermark_;
-  /// Per-thread execution progress; Min() is Watermark() (GC/slot reuse).
+  /// Per-thread execution progress; Min() is Watermark() (GC).
   WatermarkSet exec_watermark_;
+  /// Per-exec-thread reclamation pin (rule R8; see RefreshExecPin): no
+  /// batch <= a thread's pin is reachable from it. Slot reuse gates on
+  /// Min().
+  WatermarkSet exec_pin_;
   /// Sealed-batch feed rings, one SPSC pair per consumer thread
   /// (sequencer is the sole producer). Capacity >= pipeline depth, so a
   /// push can never fail: at most `depth` sealed batches are un-consumed

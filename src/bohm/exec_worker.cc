@@ -77,6 +77,7 @@ void BohmEngine::ExecLoop(uint32_t exec_id) {
           stall.ns.Inc(MonotonicNanos() - stall_start);
           return;
         }
+        RefreshExecPin(exec_id);
         wait.Pause();
       }
       stall.ns.Inc(MonotonicNanos() - stall_start);
@@ -92,7 +93,10 @@ void BohmEngine::ExecLoop(uint32_t exec_id) {
     if (cc_watermark_.Min() < b) {
       const uint64_t stall_start = MonotonicNanos();
       SpinWait wait;
-      while (cc_watermark_.Min() < b) wait.Pause();
+      while (cc_watermark_.Min() < b) {
+        RefreshExecPin(exec_id);
+        wait.Pause();
+      }
       stall.ns.Inc(MonotonicNanos() - stall_start);
     }
 
@@ -111,6 +115,7 @@ void BohmEngine::ExecLoop(uint32_t exec_id) {
         SpinWait wait;
         while (log_writer_->durable_seqno() < need &&
                !log_writer_->failed()) {
+          RefreshExecPin(exec_id);
           wait.Pause();
         }
         exec_log_stall_[exec_id]->ns.Inc(MonotonicNanos() - stall_start);
@@ -121,6 +126,10 @@ void BohmEngine::ExecLoop(uint32_t exec_id) {
     if (hooks != nullptr && hooks->exec_batch_start) {
       hooks->exec_batch_start(exec_id, b);
     }
+    // Between batches this thread holds no producer pointer (rule R8).
+    // Every wait above refreshes the pin too, so the slot-reuse gate
+    // never waits on an idle thread.
+    RefreshExecPin(exec_id);
 
     // Stripe: this thread is responsible for transactions exec_id,
     // exec_id + n, ... . Other threads may execute them (and this thread
@@ -147,6 +156,19 @@ void BohmEngine::ExecLoop(uint32_t exec_id) {
   }
 }
 
+// Rule R8: a producer pointer read out of an unready version may outlive
+// the producer's batch — another thread can complete that batch, and the
+// sequencer could then recycle its slot, before this thread's claim CAS.
+// The pin published here makes the slot-reuse gate wait for this thread
+// instead. Every batch <= the Watermark() read here was complete, its
+// versions ready and visible through the fold's acquire, so until the
+// next refresh this thread only follows producer pointers into batches
+// above the pin.
+void BohmEngine::RefreshExecPin(uint32_t exec_id) {
+  const int64_t w = Watermark();
+  if (w > exec_pin_.Get(exec_id)) exec_pin_.Advance(exec_id, w);
+}
+
 Version* BohmEngine::ResolveRead(ReadRef& ref, uint64_t ts) const {
   // Chain traversal (the non-annotated path of Section 3.2.3): walk the
   // version list from the newest version until one created strictly before
@@ -166,7 +188,12 @@ bool BohmEngine::EnsureReady(uint32_t exec_id, Version* v, uint32_t depth) {
   if (v->ready()) return true;
   if (depth >= cfg_.max_dependency_depth) return false;
   BohmTxn* producer = v->producer;
-  if (producer != nullptr) TryExecute(exec_id, producer, depth);
+  if (producer == nullptr) return v->ready();
+  const BohmTestHooks* hooks = hooks_.get();
+  if (hooks != nullptr && hooks->exec_dependency) {
+    hooks->exec_dependency(exec_id, producer->batch_id);
+  }
+  TryExecute(exec_id, producer, depth);
   // The producer may also have been completed concurrently by another
   // thread while our claim attempt failed.
   return v->ready();

@@ -18,11 +18,12 @@ namespace bohm {
 // the execution watermark can never pass the CC watermark (execution only
 // admits batches the CC fold has passed), so a CC thread running several
 // batches ahead merely queues more retirees — it can never free a version
-// an execution thread might still read, and slot reuse (also keyed on
-// Watermark()) can never recycle a batch a CC thread is still inside.
+// an execution thread might still read, and slot reuse (keyed on the
+// exec pins, which never pass Watermark(); rule R8) can never recycle a
+// batch a CC thread is still inside.
 // Allocator routing (rule R7): free lists are single-threaded, so a
-// version must return to the thread that allocated it. Without adaptive
-// repartitioning the retiring thread *is* the allocator. After a
+// version must return to the thread that allocated it. Until a
+// partition migrates the retiring thread *is* the allocator. After a
 // partition migration the first supersede of each migrated record retires
 // a version the old owner allocated; it is handed back through the
 // allocator's MPSC ring (producers: any CC thread; consumer: the
@@ -51,10 +52,8 @@ void BohmEngine::DrainRetired(uint32_t cc_id) {
   // out of batch order relative to the local deque; entries are freed
   // only when the watermark has passed their batch, so a late arrival is
   // merely freed a little later — never prematurely.
-  if (st.handback != nullptr) {
-    std::pair<Version*, int64_t> e;
-    while (st.handback->TryPop(&e)) st.retired.push_back(e);
-  }
+  std::pair<Version*, int64_t> e;
+  while (st.handback->TryPop(&e)) st.retired.push_back(e);
   if (st.retired.empty()) return;
   const int64_t watermark = Watermark();
   while (!st.retired.empty() && st.retired.front().second <= watermark) {

@@ -12,6 +12,7 @@ RepartitionController::RepartitionController(uint32_t partitions,
       cc_threads_(cc_threads == 0 ? 1 : cc_threads),
       cfg_(cfg),
       last_totals_(partitions_, 0),
+      delta_scratch_(partitions_, 0),
       load_scratch_(cc_threads_, 0) {
   auto initial = std::make_unique<PartitionMapVersion>();
   initial->epoch = 0;
@@ -67,10 +68,10 @@ void RepartitionController::Observe(const std::vector<uint64_t>& touch_totals) {
   uint64_t total = 0;
   for (uint32_t p = 0; p < partitions_; ++p) {
     const uint64_t delta = touch_totals[p] - last_totals_[p];
+    delta_scratch_[p] = delta;
     load_scratch_[current_->owners[p]] += delta;
     total += delta;
   }
-  const std::vector<uint64_t> prev = last_totals_;
   last_totals_ = touch_totals;
 
   uint32_t hottest = 0;
@@ -79,16 +80,16 @@ void RepartitionController::Observe(const std::vector<uint64_t>& touch_totals) {
   }
   const double avg =
       static_cast<double>(total) / static_cast<double>(cc_threads_);
-  const uint64_t gauge =
-      total == 0 ? 1000
-                 : static_cast<uint64_t>(
-                       static_cast<double>(load_scratch_[hottest]) * 1000.0 /
-                       avg);
-  // relaxed: sequencer is the single writer of this gauge; the release
-  // store publishes it to Stats() readers.
-  imbalance_x1000_.store(gauge, std::memory_order_release);
+  // An interval without traffic says nothing about balance: the gauge
+  // keeps its last reading.
+  if (total != 0) {
+    imbalance_x1000_.store(
+        static_cast<uint64_t>(
+            static_cast<double>(load_scratch_[hottest]) * 1000.0 / avg),
+        std::memory_order_release);
+  }
 
-  if (cc_threads_ < 2) return;
+  if (!cfg_.enabled || cc_threads_ < 2) return;
   if (pending_ != nullptr) return;  // one migration in flight at a time
 
   if (cfg_.force_rotate) {
@@ -103,9 +104,6 @@ void RepartitionController::Observe(const std::vector<uint64_t>& touch_totals) {
     pending_sources_.clear();
     for (uint32_t t = 0; t < cc_threads_; ++t) pending_sources_.push_back(t);
     pending_moves_ = partitions_;
-    // relaxed: sequencer-only counter; release publishes to monitors.
-    decisions_.store(decisions_.load(std::memory_order_relaxed) + 1,
-                     std::memory_order_release);
     return;
   }
 
@@ -123,10 +121,6 @@ void RepartitionController::Observe(const std::vector<uint64_t>& touch_totals) {
   // instead, which is what actually unloads the thread).
   std::vector<uint32_t> owners = current_->owners;
   std::vector<uint64_t> loads = load_scratch_;
-  std::vector<uint64_t> delta(partitions_);
-  for (uint32_t p = 0; p < partitions_; ++p) {
-    delta[p] = touch_totals[p] - prev[p];
-  }
   uint32_t moves = 0;
   std::vector<uint32_t> sources;
   const uint32_t max_moves = cfg_.max_moves == 0 ? partitions_ : cfg_.max_moves;
@@ -143,9 +137,10 @@ void RepartitionController::Observe(const std::vector<uint64_t>& touch_totals) {
     uint64_t best_delta = 0;
     for (uint32_t p = 0; p < partitions_; ++p) {
       if (owners[p] != hi) continue;
-      if (delta[p] == 0 || delta[p] >= gap) continue;
-      if (delta[p] > best_delta) {
-        best_delta = delta[p];
+      const uint64_t delta = delta_scratch_[p];
+      if (delta == 0 || delta >= gap) continue;
+      if (delta > best_delta) {
+        best_delta = delta;
         best = p;
       }
     }
@@ -165,9 +160,6 @@ void RepartitionController::Observe(const std::vector<uint64_t>& touch_totals) {
   sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
   pending_sources_ = std::move(sources);
   pending_moves_ = moves;
-  // relaxed: sequencer-only counter; release publishes to monitors.
-  decisions_.store(decisions_.load(std::memory_order_relaxed) + 1,
-                   std::memory_order_release);
 }
 
 void RepartitionController::Prune(int64_t exec_watermark) {

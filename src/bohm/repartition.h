@@ -1,15 +1,18 @@
-// Adaptive CC repartitioning (ROADMAP item 3): decouple the *physical*
-// index partition (static hash over keys, unchanged — every record still
-// has exactly one home partition, preserving BohmTable's single-writer
-// index discipline) from the *owning CC thread* (dynamic).
+// CC partition routing: decouple the *physical* index partition (static
+// hash over keys — every record has exactly one home partition,
+// preserving BohmTable's single-writer index discipline) from the
+// *owning CC thread* (dynamic).
 //
-// The engine runs with many more physical partitions than CC threads
-// (e.g. 128–1024 vs. 2–64) and maintains an epoch-versioned partition map
-// (partition -> owner thread) that only the sequencer mutates. CC threads
-// bump per-partition touch counters (single-writer relaxed slots, like
-// the stall/stat slots); between batches the sequencer folds them,
-// detects imbalance, and migrates whole partitions from overloaded to
-// underloaded threads.
+// Every engine routes through an epoch-versioned partition map
+// (partition -> owner thread) that only the sequencer mutates. With more
+// than one CC thread there are many more physical partitions than
+// threads (e.g. 128–1024 vs. 2–64). CC threads bump per-partition touch
+// counters (single-writer relaxed slots, like the stall/stat slots);
+// between batches the sequencer folds them into the imbalance gauge and,
+// when adaptive repartitioning is enabled, migrates whole partitions from
+// overloaded to underloaded threads. This module is the only place that
+// reads the migration knob: with it off the initial map simply never
+// changes (the paper's static assignment).
 //
 // Safety (docs/CONCURRENCY.md rule R7):
 //  * Each sealed Batch is stamped with a pointer to the map it was
@@ -38,13 +41,14 @@
 
 namespace bohm {
 
-/// Knobs for adaptive CC repartitioning (BohmConfig::adaptive).
+/// Knobs for CC partition routing (BohmConfig::adaptive).
 struct AdaptiveCcConfig {
+  /// Let the controller migrate partitions between CC threads. Off keeps
+  /// the initial map for the engine's lifetime; nothing else changes.
   bool enabled = false;
-  /// Physical partitions per table. 0 = auto: max(128, 8 per CC thread),
-  /// capped at 1024. Must be >= cc_threads (Start() validates). When
-  /// adaptive is disabled the engine ignores this and uses one partition
-  /// per CC thread (the original static assignment).
+  /// Physical partitions per table. 0 = auto: 1 for a single CC thread,
+  /// else 8 per CC thread clamped to [128, 1024]. Must be >= cc_threads
+  /// (Start() validates).
   uint32_t partitions = 0;
   /// Fold touch counters and reconsider the assignment every this many
   /// batches.
@@ -57,7 +61,8 @@ struct AdaptiveCcConfig {
   /// Test knob: rotate every partition's owner by one thread at each
   /// interval regardless of load, forcing the migration machinery (map
   /// promotion gate, cross-thread handoff, GC allocator routing) to run
-  /// constantly. Never useful in production.
+  /// constantly. Takes effect only with `enabled`. Never useful in
+  /// production.
   bool force_rotate = false;
 };
 
@@ -91,7 +96,8 @@ class RepartitionController {
                                          const WatermarkSet& cc_watermark);
 
   /// Feeds the controller one fold of the cumulative per-partition touch
-  /// counters; may create a pending migration. Call every
+  /// counters: updates the imbalance gauge and, when migration is
+  /// enabled, may create a pending migration. Call every
   /// `interval_batches` sealed batches. Sequencer thread only.
   void Observe(const std::vector<uint64_t>& touch_totals);
 
@@ -102,19 +108,13 @@ class RepartitionController {
   /// Current map (sequencer thread, or any thread before Start()).
   const PartitionMapVersion* current() const { return current_; }
 
-  uint32_t partitions() const { return partitions_; }
-
   // --- cross-thread monitors (any thread) ---
   /// Partitions moved across all promoted migrations (monotone).
   uint64_t migrations() const {
     return migrations_.load(std::memory_order_acquire);
   }
-  /// Rebalance decisions that produced a pending map (monotone).
-  uint64_t decisions() const {
-    return decisions_.load(std::memory_order_acquire);
-  }
-  /// Last folded max-thread-load / mean-thread-load ratio, x1000 (gauge;
-  /// 1000 = perfectly balanced).
+  /// Max-thread-load / mean-thread-load ratio of the last fold that saw
+  /// traffic, x1000 (gauge; 1000 = perfectly balanced, or no traffic yet).
   uint64_t imbalance_x1000() const {
     return imbalance_x1000_.load(std::memory_order_acquire);
   }
@@ -142,13 +142,14 @@ class RepartitionController {
   /// Previous fold of the cumulative touch counters (deltas drive the
   /// rebalance decision).
   std::vector<uint64_t> last_totals_;
+  /// Scratch: per-partition deltas of the current fold.
+  std::vector<uint64_t> delta_scratch_;
   /// Scratch: per-thread load of the current fold.
   std::vector<uint64_t> load_scratch_;
 
   /// Monitors. Single writer (the sequencer); release stores publish to
   /// Stats()/test readers.
   std::atomic<uint64_t> migrations_{0};
-  std::atomic<uint64_t> decisions_{0};
   std::atomic<uint64_t> imbalance_x1000_{1000};
   std::atomic<uint64_t> epoch_{0};
 };

@@ -88,44 +88,45 @@ void BohmEngine::SequencerLoop() {
   SpinWait wait;
   for (;;) {
     const int64_t id = next_batch_id_;
-    // Back-pressure: slot (id mod depth) is reusable only once every
-    // execution thread has finished the batch that used it previously
-    // (batch id - depth). This is the only place the sequencer waits on
-    // downstream progress; the time spent here is the sequencer's stall
-    // attribution.
+    // Back-pressure: slot (id mod depth) is reusable only once no
+    // execution thread can still reach the batch that used it previously
+    // (batch id - depth): every exec pin has passed it (rule R8), which
+    // implies every execution thread has also finished it. This is the
+    // only place the sequencer waits on downstream progress; the time
+    // spent here is the sequencer's stall attribution.
     Batch* batch = ring_.Slot(id);
     const int64_t prev_occupant = id - static_cast<int64_t>(ring_.depth());
-    if (Watermark() < prev_occupant) {
+    if (exec_pin_.Min() < prev_occupant) {
       const uint64_t stall_start = MonotonicNanos();
       wait.Reset();
-      while (Watermark() < prev_occupant) wait.Pause();
+      while (exec_pin_.Min() < prev_occupant) wait.Pause();
       seq_stall_.ns.Inc(MonotonicNanos() - stall_start);
     }
     batch->ResetForReuse();
 
-    // Adaptive repartitioning (rule R7): at the fold cadence, read the
-    // touch counters and maybe stage a migration; then fetch the map this
-    // batch will be sequenced under (promoting a gated pending map once
-    // every source thread's cc watermark has passed id - 1). Also retire
-    // map versions no in-flight batch can still reference.
-    if (cfg_.adaptive.enabled && id > 0 &&
-        id % static_cast<int64_t>(cfg_.adaptive.interval_batches) == 0) {
-      FoldTouchCounters();
-    }
-    const PartitionMapVersion* pmap = repart_->MapForBatch(id, cc_watermark_);
-    const uint32_t* owners = pmap->owners.data();
-    batch->part_epoch = pmap->epoch;
-    batch->owners = owners;
-    repart_->Prune(Watermark());
-
     // Fill the batch. Seal early when the input queue runs dry so that a
     // trickle of transactions does not wait for a full batch.
+    const uint32_t* owners = nullptr;
     bool stop_after = false;
     wait.Reset();
     while (batch->txns.size() < cfg_.batch_size) {
       InputItem item;
       if (input_.TryPop(&item)) {
         wait.Reset();
+        if (owners == nullptr) {
+          // Partition routing (rule R7) waits for the batch's first
+          // transaction, so an idle sequencer consults the promotion gate
+          // (every source thread's cc watermark past id - 1) only after
+          // CC has caught up. At the fold cadence the controller updates
+          // the imbalance gauge and may stage a migration; Prune retires
+          // map versions no in-flight batch can still reference.
+          const auto interval =
+              static_cast<int64_t>(cfg_.adaptive.interval_batches);
+          if (id > 0 && id % interval == 0) FoldTouchCounters();
+          owners = repart_->MapForBatch(id, cc_watermark_)->owners.data();
+          batch->owners = owners;
+          repart_->Prune(Watermark());
+        }
         StoredProcedure* raw = item.proc;
         if (item.owned) batch->procs.emplace_back(raw);
         const ReadWriteSet& set = raw->rwset();

@@ -9,9 +9,15 @@ BohmTable::BohmTable(const TableSpec& spec, uint32_t partitions)
   // declared capacity.
   uint64_t per_part = spec.capacity / partitions + 1;
   uint64_t buckets = NextPow2(per_part * 2);
+  // Size the entry arena's blocks for the same share, within
+  // [1 KiB, 64 KiB]: each partition zero-fills one block on its first
+  // insert, so a full 64 KiB block per partition would dominate a small
+  // table split many ways.
+  const size_t arena_block = static_cast<size_t>(std::clamp<uint64_t>(
+      NextPow2(per_part * sizeof(BohmIndexEntry)), 1u << 10, 1u << 16));
   parts_.reserve(partitions);
   for (uint32_t i = 0; i < partitions; ++i) {
-    parts_.push_back(std::make_unique<Partition>(buckets));
+    parts_.push_back(std::make_unique<Partition>(buckets, arena_block));
   }
 }
 

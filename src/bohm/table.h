@@ -5,9 +5,8 @@
 // and head pointer are only ever *written* by the single CC thread that
 // owns the partition the record hashes to. The hash is static; the
 // partition -> thread assignment is the epoch-versioned map in
-// bohm/repartition.h (identity when adaptive mode is off), and it only
-// changes *between* batches, so within any batch every index mutation is
-// uncontended by construction. Execution
+// bohm/repartition.h, and it only changes *between* batches, so within
+// any batch every index mutation is uncontended by construction. Execution
 // threads *read* entries concurrently ("readers need only spin on
 // inconsistent or stale data", Section 3.3.1): entries are published into
 // bucket chains with release stores and never removed, so a reader either
@@ -99,8 +98,8 @@ class BohmTable {
 
  private:
   struct Partition {
-    explicit Partition(uint64_t buckets)
-        : mask(buckets - 1), arena(1u << 16) {
+    Partition(uint64_t buckets, size_t arena_block)
+        : mask(buckets - 1), arena(arena_block) {
       chains = std::make_unique<std::atomic<BohmIndexEntry*>[]>(buckets);
       for (uint64_t i = 0; i < buckets; ++i) {
         // relaxed: single-threaded construction; the table is published

@@ -6,8 +6,6 @@
 //    own watermark as it finishes its partition slice of a batch, and the
 //    execution stage starts batch b as soon as min(watermarks) >= b — no
 //    thread ever parks at a barrier on the hot path.
-//  * CyclicBarrier — the classic sense-reversing barrier, kept as a
-//    library primitive for stop-the-world coordination off the hot path.
 #pragma once
 
 #include <atomic>
@@ -16,7 +14,6 @@
 #include <memory>
 
 #include "common/macros.h"
-#include "common/spin.h"
 
 namespace bohm {
 
@@ -76,44 +73,6 @@ class WatermarkSet {
 
   const uint32_t threads_;
   std::unique_ptr<Slot[]> slots_;
-};
-
-/// A sense-reversing cyclic barrier for a fixed set of participants. All
-/// waits yield under oversubscription (see spin.h). The last thread to
-/// arrive returns true, which lets exactly one participant perform a
-/// per-batch action (e.g. publishing the batch to the execution layer).
-class CyclicBarrier {
- public:
-  explicit CyclicBarrier(uint32_t participants)
-      : participants_(participants), remaining_(participants) {}
-  BOHM_DISALLOW_COPY_AND_ASSIGN(CyclicBarrier);
-
-  /// Blocks until all participants have arrived. Returns true on exactly
-  /// one participant per generation (the last arriver).
-  bool ArriveAndWait() {
-    // relaxed: sense_ only flips inside this generation's release store
-    // below; every participant read its value before arriving (program
-    // order), so no cross-thread ordering is needed for the read.
-    const bool sense = sense_.load(std::memory_order_relaxed);
-    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // relaxed: only the last arriver writes, and waiters cannot pass
-      // the barrier (and re-enter) until the sense release below — which
-      // also publishes this reset.
-      remaining_.store(participants_, std::memory_order_relaxed);
-      sense_.store(!sense, std::memory_order_release);
-      return true;
-    }
-    SpinWait wait;
-    while (sense_.load(std::memory_order_acquire) == sense) wait.Pause();
-    return false;
-  }
-
-  uint32_t participants() const { return participants_; }
-
- private:
-  const uint32_t participants_;
-  alignas(kCacheLineSize) std::atomic<uint32_t> remaining_;
-  alignas(kCacheLineSize) std::atomic<bool> sense_{false};
 };
 
 }  // namespace bohm

@@ -43,9 +43,10 @@ BohmConfig BohmSplit(uint32_t total_threads) {
       total_threads - cfg.cc_threads == 0 ? 1 : total_threads - cfg.cc_threads;
   cfg.batch_size =
       static_cast<uint32_t>(EnvInt64("BOHM_BENCH_BATCH_SIZE", 256));
-  // Adaptive CC repartitioning is on by default for the benches (the
-  // skewed figures are exactly where a static partition->thread map
-  // melts); BOHM_BENCH_ADAPTIVE=0 reproduces the static assignment.
+  // Partition migration is on by default for the benches (the skewed
+  // figures are exactly where a static partition->thread map melts);
+  // BOHM_BENCH_ADAPTIVE=0 keeps the initial map, on the same partition
+  // layout.
   cfg.adaptive.enabled = EnvInt64("BOHM_BENCH_ADAPTIVE", 1) != 0;
   int64_t parts = EnvInt64("BOHM_BENCH_PARTITIONS", 0);
   cfg.adaptive.partitions =

@@ -62,7 +62,7 @@ Status DecodeYcsbRmw(Slice* in, ProcedurePtr* out) {
   keys.reserve(n_keys);
   for (uint32_t i = 0; i < n_keys; ++i) {
     uint64_t k;
-    (void)in->GetFixed64(&k);
+    if (!in->GetFixed64(&k)) return Malformed("YcsbRmw key list");
     keys.push_back(static_cast<Key>(k));
   }
   *out = std::make_unique<YcsbRmwProcedure>(std::move(keys), record_size);

@@ -9,8 +9,9 @@
 //      effect while a source CC thread has unfinished batches sealed
 //      under the old map (frozen via test hook, the map epoch stays put);
 //  (c) the machinery actually runs when it should — skewed traffic
-//      triggers migrations, and GC routes foreign retirees back to their
-//      allocating thread (freed counters move, state stays right);
+//      triggers migrations (and, with migration off, none but a gauge
+//      that reports the skew), and GC routes foreign retirees back to
+//      their allocating thread (freed counters move, state stays right);
 //  (d) configuration edges are rejected up front — Start() refuses an
 //      interest mask wider than 64 bits and a partition count below the
 //      CC thread count, instead of shifting out of range at runtime.
@@ -303,14 +304,19 @@ TEST(AdaptiveGateTest, EpochFrozenWhileSourceThreadInsideOldMapBatch) {
 // (c) Skewed traffic triggers migrations without any force knob.
 // ---------------------------------------------------------------------------
 
-TEST(AdaptiveSkewTest, SkewedTrafficMigratesPartitions) {
+// With migration off the same traffic runs on the same layout and map:
+// no migration, but the gauge reports the real one-sided load.
+class AdaptiveSkewTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(AdaptiveSkewTest, SkewedTrafficMigratesPartitions) {
+  const bool migrate = GetParam();
   BohmConfig cfg;
   cfg.cc_threads = 2;
   cfg.exec_threads = 1;
   cfg.batch_size = 8;
   cfg.pipeline_depth = 4;
   cfg.input_queue_capacity = 4096;
-  cfg.adaptive.enabled = true;
+  cfg.adaptive.enabled = migrate;
   cfg.adaptive.partitions = 64;
   cfg.adaptive.interval_batches = 1;
   cfg.adaptive.max_imbalance = 1.05;
@@ -329,20 +335,44 @@ TEST(AdaptiveSkewTest, SkewedTrafficMigratesPartitions) {
   ASSERT_GE(hot.size(), 4u);
 
   ASSERT_TRUE(engine.Start().ok());
+  uint64_t submitted = 0;
   for (int round = 0; round < 40 && engine.cc_migrations() == 0; ++round) {
     for (int i = 0; i < 64; ++i) {
       ASSERT_TRUE(engine
                       .Submit(std::make_unique<IncrementProcedure>(
                           0, hot[static_cast<size_t>(i) % hot.size()]))
                       .ok());
+      ++submitted;
     }
     engine.WaitForIdle();
   }
-  EXPECT_GT(engine.cc_migrations(), 0u)
-      << "one-sided traffic never triggered a migration";
-  EXPECT_GT(engine.partition_map_epoch(), 0u);
+  if (migrate) {
+    EXPECT_GT(engine.cc_migrations(), 0u)
+        << "one-sided traffic never triggered a migration";
+    EXPECT_GT(engine.partition_map_epoch(), 0u);
+  } else {
+    EXPECT_EQ(engine.cc_migrations(), 0u);
+    EXPECT_EQ(engine.partition_map_epoch(), 0u);
+    // Thread 0 carries all the load: max/mean = 2.0, well above the
+    // threshold a migrating controller would act on.
+    EXPECT_GT(engine.cc_imbalance_x1000(),
+              static_cast<uint64_t>(cfg.adaptive.max_imbalance * 1000));
+  }
+  uint64_t total = 0;
+  for (Key k : hot) {
+    uint64_t v = 0;
+    ASSERT_TRUE(engine.ReadLatest(0, k, &v).ok());
+    total += v;
+  }
+  EXPECT_EQ(total, submitted);
   engine.Stop();
 }
+
+INSTANTIATE_TEST_SUITE_P(MigrationOnOff, AdaptiveSkewTest,
+                         ::testing::Bool(), [](const auto& param_info) {
+                           return param_info.param ? "migration_on"
+                                                   : "migration_off";
+                         });
 
 // ---------------------------------------------------------------------------
 // (c) GC routes retirees freed by a foreign thread back to the allocating
@@ -442,14 +472,29 @@ TEST(AdaptiveConfigTest, StartRejectsFewerPartitionsThanCcThreads) {
 }
 
 TEST(AdaptiveConfigTest, AdaptiveOffKeepsStaticAssignmentObservables) {
+  // The migration knob never changes the physical layout: the same config
+  // with it on and off gets the same partition count, at one CC thread
+  // (a single partition) and at several.
+  for (uint32_t cc : {1u, 3u}) {
+    BohmConfig cfg;
+    cfg.cc_threads = cc;
+    cfg.adaptive.enabled = true;
+    const uint32_t with_migration =
+        BohmEngine(OneTable(16), cfg).partition_count();
+    cfg.adaptive.enabled = false;
+    EXPECT_EQ(BohmEngine(OneTable(16), cfg).partition_count(),
+              with_migration)
+        << "cc_threads " << cc;
+    EXPECT_EQ(with_migration, cc == 1 ? 1u : 128u) << "cc_threads " << cc;
+  }
+
+  // Off: the initial map forever.
   BohmConfig cfg;
   cfg.cc_threads = 3;
   cfg.exec_threads = 1;
   BohmEngine engine(OneTable(16), cfg);
   uint64_t zero = 0;
   for (Key k = 0; k < 16; ++k) ASSERT_TRUE(engine.Load(0, k, &zero).ok());
-  // Off: one physical partition per CC thread, identity map forever.
-  EXPECT_EQ(engine.partition_count(), cfg.cc_threads);
   ASSERT_TRUE(engine.Start().ok());
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(
@@ -458,7 +503,6 @@ TEST(AdaptiveConfigTest, AdaptiveOffKeepsStaticAssignmentObservables) {
   engine.WaitForIdle();
   EXPECT_EQ(engine.cc_migrations(), 0u);
   EXPECT_EQ(engine.partition_map_epoch(), 0u);
-  EXPECT_EQ(engine.cc_imbalance_x1000(), 1000u);
   engine.Stop();
 }
 

@@ -12,7 +12,11 @@
 //  (c) overlap really happens — execution commits batch b while a CC
 //      thread is inside batch b+1, and CC threads cross batch boundaries
 //      independently of each other (impossible under the old barrier), so
-//      the optimization cannot silently regress to a barrier.
+//      the optimization cannot silently regress to a barrier;
+//  (d) slot reuse waits for stale producer pointers — an exec thread
+//      frozen between seeing an unready read dependency and claiming its
+//      producer keeps the producer's batch slot from being recycled, even
+//      after every thread has finished that batch (rule R8).
 //
 // All waits yield (SpinWait / std::this_thread::yield), so the suite is
 // deterministic on a single-core host too: a frozen thread blocks inside
@@ -286,6 +290,114 @@ TEST(BohmStreamingTest, ExecNeverObservesBatchBelowCcWatermark) {
     total += v;
   }
   EXPECT_EQ(total, static_cast<uint64_t>(kTxns));
+  engine.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// (d) A producer pointer read out of an unready version keeps the
+// producer's batch slot alive (rule R8).
+// ---------------------------------------------------------------------------
+
+/// An increment whose Run() first blocks on a gate, so the thread that
+/// claimed it is parked inside the transaction.
+class GatedIncrement final : public StoredProcedure {
+ public:
+  GatedIncrement(Key key, Gate* gate) : inner_(0, key), gate_(gate) {
+    set_ = inner_.rwset();
+  }
+  void Run(TxnOps& ops) override {
+    gate_->Wait();
+    inner_.Run(ops);
+  }
+
+ private:
+  IncrementProcedure inner_;
+  Gate* gate_;
+};
+
+TEST(BohmStreamingTest, SlotReuseWaitsForThreadHoldingProducerPointer) {
+  // Depth 2, two exec threads, two transactions per batch: exec thread 0
+  // runs index 0 of each batch, thread 1 runs index 1. Batches 0 and 1
+  // hold one transaction each; batch 2 is {P, T} and batch 3 is {R, Q},
+  // where R increments T's key. Thread 1 claims T and parks inside it,
+  // so thread 0 finds R's read unready and is frozen right before its
+  // claim on T. Then T finishes and thread 1 completes batches 2 and 3:
+  // every exec watermark has passed batch 2, and batch 4 would recycle
+  // batch 2's slot — T's memory — under thread 0's pointer.
+  Gate release_first, release_t, release_claim;
+  std::atomic<bool> in_first{false}, at_claim{false};
+  BohmConfig cfg;
+  cfg.cc_threads = 1;
+  cfg.exec_threads = 2;
+  cfg.batch_size = 2;
+  cfg.pipeline_depth = 2;
+  cfg.input_queue_capacity = 64;
+  BohmEngine engine(OneTable(8), cfg);
+  // A failed assertion must not leave a pipeline thread parked in a hook
+  // while the engine's destructor joins it.
+  struct OpenOnExit {
+    std::vector<Gate*> gates;
+    ~OpenOnExit() {
+      for (Gate* g : gates) g->Open();
+    }
+  } open_on_exit{{&release_first, &release_t, &release_claim}};
+  uint64_t zero = 0;
+  for (Key k = 0; k < 8; ++k) ASSERT_TRUE(engine.Load(0, k, &zero).ok());
+
+  auto hooks = std::make_shared<BohmTestHooks>();
+  hooks->exec_batch_start = [&](uint32_t exec_id, int64_t b) {
+    if (exec_id == 0 && b == 0) {
+      in_first.store(true, std::memory_order_release);
+      release_first.Wait();
+    }
+    // Thread 1 enters batch 2 only once thread 0 has finished batch 1, so
+    // the pin it publishes on entry lets the sequencer seal batch 3.
+    if (exec_id == 1 && b == 2) {
+      (void)WaitUntil([&] { return engine.Watermark() >= 1; });
+    }
+  };
+  hooks->exec_dependency = [&](uint32_t exec_id, int64_t producer_batch) {
+    if (exec_id == 0 && producer_batch == 2) {
+      at_claim.store(true, std::memory_order_release);
+      release_claim.Wait();
+    }
+  };
+  engine.set_test_hooks(hooks);
+  ASSERT_TRUE(engine.Start().ok());
+
+  auto increment = [&](Key k) {
+    return engine.Submit(std::make_unique<IncrementProcedure>(0, k)).ok();
+  };
+  // With thread 0 frozen in batch 0 the sequencer cannot seal batch 2, so
+  // everything submitted afterwards is queued and batched two at a time.
+  ASSERT_TRUE(increment(0));
+  ASSERT_TRUE(WaitUntil([&] { return in_first.load(); }));
+  ASSERT_TRUE(increment(1));
+  ASSERT_TRUE(WaitUntil([&] { return engine.last_sealed_batch() >= 1; }));
+  ASSERT_TRUE(increment(2));  // P
+  ASSERT_TRUE(engine.Submit(std::make_unique<GatedIncrement>(3, &release_t))
+                  .ok());  // T
+  for (Key k : {3, 4, 5, 6}) ASSERT_TRUE(increment(k));  // R, Q, batch 4
+  release_first.Open();
+
+  ASSERT_TRUE(WaitUntil([&] { return at_claim.load(); }))
+      << "exec thread 0 never found T unready";
+  release_t.Open();
+  ASSERT_TRUE(WaitUntil([&] { return engine.Watermark() >= 2; }))
+      << "exec thread 1 never finished batch 2";
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(engine.last_sealed_batch(), 3)
+      << "batch 2's slot was reused while exec thread 0 held a pointer to "
+         "its transaction";
+
+  release_claim.Open();
+  engine.WaitForIdle();
+  EXPECT_EQ(engine.last_sealed_batch(), 4);
+  for (Key k = 0; k < 7; ++k) {
+    uint64_t v = 0;
+    ASSERT_TRUE(engine.ReadLatest(0, k, &v).ok());
+    EXPECT_EQ(v, k == 3 ? 2u : 1u) << "key " << k;
+  }
   engine.Stop();
 }
 

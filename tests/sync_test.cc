@@ -114,55 +114,6 @@ TEST(RWSpinLockTest, ReadersSeeConsistentStateDuringWrites) {
   EXPECT_FALSE(torn.load());
 }
 
-TEST(CyclicBarrierTest, ExactlyOneLastArriverPerGeneration) {
-  constexpr int kThreads = 4, kGenerations = 500;
-  CyclicBarrier barrier(kThreads);
-  std::atomic<int> last_count{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int g = 0; g < kGenerations; ++g) {
-        if (barrier.ArriveAndWait()) {
-          last_count.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(last_count.load(), kGenerations);
-}
-
-TEST(CyclicBarrierTest, SynchronizesPhases) {
-  // No thread may enter phase g+1 before all threads finished phase g.
-  constexpr int kThreads = 3, kGenerations = 200;
-  CyclicBarrier barrier(kThreads);
-  std::atomic<int> in_phase[2] = {{0}, {0}};
-  std::atomic<bool> violation{false};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int g = 0; g < kGenerations; ++g) {
-        in_phase[g % 2].fetch_add(1, std::memory_order_acq_rel);
-        barrier.ArriveAndWait();
-        // After the barrier, everyone has entered this phase.
-        if (in_phase[g % 2].load(std::memory_order_acquire) < kThreads) {
-          violation.store(true, std::memory_order_release);
-        }
-        barrier.ArriveAndWait();
-        in_phase[g % 2].fetch_sub(1, std::memory_order_acq_rel);
-        barrier.ArriveAndWait();
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_FALSE(violation.load());
-}
-
-TEST(CyclicBarrierTest, SingleParticipantNeverBlocks) {
-  CyclicBarrier barrier(1);
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(barrier.ArriveAndWait());
-}
-
 // ---------------------------------------------------------------------------
 // WatermarkSet — the epoch-watermark fold behind the streamed Bohm
 // pipeline handoff (per-thread Advance, cross-stage Min admission).
