@@ -27,7 +27,9 @@ int main() {
   for (bool annotation : {true, false}) {
     BohmConfig bcfg = BohmSplit(static_cast<uint32_t>(threads));
     bcfg.read_annotation = annotation;
-    BenchResult r = YcsbBohmPoint(cfg, 0, fn, opt, &bcfg);
+    BenchResult r =
+        YcsbPoint(std::make_unique<BohmEngine>(YcsbCatalog(cfg), bcfg), cfg,
+                  YcsbSource(cfg, fn), opt);
     report.AddRow({annotation ? "on" : "off",
                    Report::FormatTput(r.Throughput())});
   }

@@ -26,7 +26,9 @@ int main() {
   for (int batch : {1, 4, 16, 64, 256, 1024, 4096}) {
     BohmConfig bcfg = BohmSplit(static_cast<uint32_t>(threads));
     bcfg.batch_size = static_cast<uint32_t>(batch);
-    BenchResult r = YcsbBohmPoint(cfg, 0, fn, opt, &bcfg);
+    BenchResult r =
+        YcsbPoint(std::make_unique<BohmEngine>(YcsbCatalog(cfg), bcfg), cfg,
+                  YcsbSource(cfg, fn), opt);
     report.AddRow(
         {std::to_string(batch), Report::FormatTput(r.Throughput())});
   }

@@ -33,18 +33,16 @@ int main() {
       mcfg.mode = mode;
       mcfg.threads = static_cast<uint32_t>(threads);
       mcfg.commit_dependencies = spec;
-      MVOccEngine engine(YcsbCatalog(cfg), mcfg);
-      (void)YcsbLoad(cfg, [&](TableId t, Key k, const void* p) {
-        return engine.Load(t, k, p);
-      });
-      BenchResult r = RunExecutorBench(
-          engine,
+      auto engine = std::make_unique<MVOccEngine>(YcsbCatalog(cfg), mcfg);
+      const char* name = engine->name();
+      BenchResult r = YcsbPoint(
+          std::move(engine), cfg,
           YcsbSource(cfg,
                      [](YcsbGenerator& gen) {
                        return gen.Make(YcsbGenerator::TxnType::k2Rmw8R);
                      }),
           opt);
-      report.AddRow({engine.name(), spec ? "on" : "off",
+      report.AddRow({name, spec ? "on" : "off",
                      Report::FormatTput(r.Throughput()),
                      Report::FormatDouble(100 * r.AbortRate(), 1)});
     }

@@ -67,7 +67,9 @@ int main() {
       bcfg.durability.fsync_policy = m.policy;
       if (m.group_size != 0) bcfg.durability.group_size = m.group_size;
     }
-    BenchResult r = YcsbBohmPoint(cfg, 0, fn, opt, &bcfg);
+    BenchResult r =
+        YcsbPoint(std::make_unique<BohmEngine>(YcsbCatalog(cfg), bcfg), cfg,
+                  YcsbSource(cfg, fn), opt);
     report.AddRow(
         {m.label, Report::FormatTput(r.Throughput()),
          std::to_string(r.P99Us()),

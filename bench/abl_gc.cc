@@ -33,9 +33,8 @@ int main() {
       return engine.Load(t, k, p);
     });
     (void)engine.Start();
-    BenchResult r = RunBohmBench(engine, YcsbSource(cfg, fn), 2, opt);
+    BenchResult r = RunBench(engine, YcsbSource(cfg, fn), opt);
     uint64_t freed = engine.gc_freed_versions();
-    engine.Stop();
 
     report.AddRow({gc ? "on" : "off", Report::FormatTput(r.Throughput()),
                    std::to_string(freed)});

@@ -37,7 +37,9 @@ int main() {
       bcfg.cc_threads = static_cast<uint32_t>(cc);
       bcfg.exec_threads = 2;
       bcfg.interest_preprocessing = pre;
-      BenchResult r = YcsbBohmPoint(cfg, 0, fn, opt, &bcfg);
+      BenchResult r =
+          YcsbPoint(std::make_unique<BohmEngine>(YcsbCatalog(cfg), bcfg), cfg,
+                    YcsbSource(cfg, fn), opt);
       row.push_back(Report::FormatTput(r.Throughput()));
     }
     report.AddRow(std::move(row));

@@ -9,7 +9,6 @@
 #include <memory>
 #include <string>
 
-#include "bohm/engine.h"
 #include "harness/driver.h"
 #include "harness/engines.h"
 #include "harness/report.h"
@@ -37,74 +36,31 @@ inline TxnSourceMaker SmallBankSource(const SmallBankConfig& cfg) {
   };
 }
 
-/// One measurement point on a baseline engine.
-inline BenchResult YcsbExecutorPoint(EngineKind kind, const YcsbConfig& cfg,
-                                     uint32_t threads, const YcsbTxnFn& fn,
-                                     const DriverOptions& opt) {
-  auto engine = MakeExecutorEngine(kind, YcsbCatalog(cfg), threads);
+/// One YCSB measurement point: loads `engine` with `cfg`'s records,
+/// starts it and drives `maker` over it. Takes the engine so the caller
+/// picks any of the five (MakeEngine, or a BohmEngine with its own
+/// BohmConfig).
+inline BenchResult YcsbPoint(std::unique_ptr<Engine> engine,
+                             const YcsbConfig& cfg,
+                             const TxnSourceMaker& maker,
+                             const DriverOptions& opt) {
   (void)YcsbLoad(cfg, [&](TableId t, Key k, const void* p) {
     return engine->Load(t, k, p);
   });
-  return RunExecutorBench(*engine, YcsbSource(cfg, fn), opt);
+  (void)engine->Start();
+  return RunBench(*engine, maker, opt);
 }
 
-/// One measurement point on Bohm with `total_threads` split between the
-/// CC and execution stages.
-inline BenchResult YcsbBohmPoint(const YcsbConfig& cfg,
-                                 uint32_t total_threads, const YcsbTxnFn& fn,
-                                 const DriverOptions& opt,
-                                 BohmConfig* override_cfg = nullptr) {
-  BohmConfig bcfg =
-      override_cfg != nullptr ? *override_cfg : BohmSplit(total_threads);
-  BohmEngine engine(YcsbCatalog(cfg), bcfg);
-  (void)YcsbLoad(cfg, [&](TableId t, Key k, const void* p) {
-    return engine.Load(t, k, p);
-  });
-  (void)engine.Start();
-  BenchResult r = RunBohmBench(engine, YcsbSource(cfg, fn),
-                               /*client_threads=*/2, opt);
-  engine.Stop();
-  return r;
-}
-
-inline BenchResult SmallBankExecutorPoint(EngineKind kind,
-                                          const SmallBankConfig& cfg,
-                                          uint32_t threads,
-                                          const DriverOptions& opt) {
-  auto engine = MakeExecutorEngine(kind, SmallBankCatalog(cfg), threads);
+/// One SmallBank measurement point on a fresh `kind` engine.
+inline BenchResult SmallBankPoint(EngineKind kind, const SmallBankConfig& cfg,
+                                  uint32_t threads,
+                                  const DriverOptions& opt) {
+  auto engine = MakeEngine(kind, SmallBankCatalog(cfg), threads);
   (void)SmallBankLoad(cfg, [&](TableId t, Key k, const void* p) {
     return engine->Load(t, k, p);
   });
-  return RunExecutorBench(*engine, SmallBankSource(cfg), opt);
-}
-
-inline BenchResult SmallBankBohmPoint(const SmallBankConfig& cfg,
-                                      uint32_t total_threads,
-                                      const DriverOptions& opt) {
-  BohmEngine engine(SmallBankCatalog(cfg), BohmSplit(total_threads));
-  (void)SmallBankLoad(cfg, [&](TableId t, Key k, const void* p) {
-    return engine.Load(t, k, p);
-  });
-  (void)engine.Start();
-  BenchResult r =
-      RunBohmBench(engine, SmallBankSource(cfg), /*client_threads=*/2, opt);
-  engine.Stop();
-  return r;
-}
-
-/// The five systems in the paper's plotting order.
-struct System {
-  std::string label;
-  bool is_bohm;
-  EngineKind kind;  // valid when !is_bohm
-};
-
-inline std::vector<System> AllSystems() {
-  return {{"2PL", false, EngineKind::k2PL},
-          {"Bohm", true, EngineKind::k2PL},
-          {"OCC", false, EngineKind::kOCC},
-          {"SI", false, EngineKind::kSI},
-          {"Hekaton", false, EngineKind::kHekaton}};
+  (void)engine->Start();
+  return RunBench(*engine, SmallBankSource(cfg), opt);
 }
 
 }  // namespace bench

@@ -23,7 +23,9 @@ void RunContention(uint64_t customers, const char* label, const char* tag,
   const DriverOptions opt = BenchDriverOptions();
 
   std::vector<std::string> cols = {"threads"};
-  for (const System& s : AllSystems()) cols.push_back(s.label + " (txns/s)");
+  for (EngineKind kind : kAllEngines) {
+    cols.push_back(std::string(EngineKindName(kind)) + " (txns/s)");
+  }
   Report report(std::string("Figure 10 (") + label + "): SmallBank, " +
                     std::to_string(customers) + " customers, spin " +
                     std::to_string(cfg.spin_us) + "us",
@@ -31,17 +33,14 @@ void RunContention(uint64_t customers, const char* label, const char* tag,
 
   for (int threads : BenchThreads()) {
     std::vector<std::string> row = {std::to_string(threads)};
-    for (const System& s : AllSystems()) {
+    for (EngineKind kind : kAllEngines) {
       BenchResult r =
-          s.is_bohm
-              ? SmallBankBohmPoint(cfg, static_cast<uint32_t>(threads), opt)
-              : SmallBankExecutorPoint(s.kind, cfg,
-                                       static_cast<uint32_t>(threads), opt);
+          SmallBankPoint(kind, cfg, static_cast<uint32_t>(threads), opt);
       row.push_back(Report::FormatTput(r.Throughput()));
       json.AddPoint({{"contention", tag},
                      {"customers", std::to_string(customers)},
                      {"threads", std::to_string(threads)}},
-                    s.label, r);
+                    EngineKindName(kind), r);
     }
     report.AddRow(std::move(row));
   }

@@ -27,35 +27,17 @@ TxnSourceMaker HotspotSource(const HotspotConfig& cfg) {
   };
 }
 
-BenchResult HotspotExecutorPoint(EngineKind kind, const HotspotConfig& cfg,
-                                 uint32_t threads, const DriverOptions& opt) {
-  auto engine = MakeExecutorEngine(kind, YcsbCatalog(cfg.Ycsb()), threads);
-  (void)YcsbLoad(cfg.Ycsb(), [&](TableId t, Key k, const void* p) {
-    return engine->Load(t, k, p);
-  });
-  return RunExecutorBench(*engine, HotspotSource(cfg), opt);
-}
-
-BenchResult HotspotBohmPoint(const HotspotConfig& cfg, uint32_t threads,
-                             const DriverOptions& opt, bool adaptive) {
+/// Bohm with `threads` split between CC and execution, migration on or
+/// off on the same physical partition layout.
+std::unique_ptr<Engine> HotspotBohm(const HotspotConfig& cfg,
+                                    uint32_t threads, bool adaptive) {
   BohmConfig bcfg = BohmSplit(threads);
   bcfg.adaptive.enabled = adaptive;
   bcfg.adaptive.max_imbalance =
       EnvInt64("BOHM_BENCH_MAX_IMB_X100", 125) / 100.0;
   bcfg.adaptive.interval_batches =
       static_cast<uint32_t>(EnvInt64("BOHM_BENCH_CC_INTERVAL", 8));
-  BohmEngine engine(YcsbCatalog(cfg.Ycsb()), bcfg);
-  (void)YcsbLoad(cfg.Ycsb(), [&](TableId t, Key k, const void* p) {
-    return engine.Load(t, k, p);
-  });
-  (void)engine.Start();
-  // Generating an 8-RMW hotspot transaction is not free; two feeders can
-  // become the bottleneck before the CC stage does at higher thread
-  // counts, which would mask the effect this bench measures.
-  const uint32_t clients = threads / 2 < 2 ? 2 : threads / 2;
-  BenchResult r = RunBohmBench(engine, HotspotSource(cfg), clients, opt);
-  engine.Stop();
-  return r;
+  return std::make_unique<BohmEngine>(YcsbCatalog(cfg.Ycsb()), bcfg);
 }
 
 }  // namespace
@@ -95,13 +77,23 @@ int main() {
           {"variant", variant}};
     };
 
-    BenchResult twopl = HotspotExecutorPoint(EngineKind::k2PL, base, t, opt);
+    BenchResult twopl =
+        YcsbPoint(MakeEngine(EngineKind::k2PL, YcsbCatalog(base.Ycsb()), t),
+                  base.Ycsb(), HotspotSource(base), opt);
     json.AddPoint(params("2PL"), "2PL", twopl);
 
-    BenchResult stat = HotspotBohmPoint(base, t, opt, /*adaptive=*/false);
+    // Generating an 8-RMW hotspot transaction is not free; two feeders can
+    // become the bottleneck before the CC stage does at higher thread
+    // counts, which would mask the effect this bench measures.
+    DriverOptions bohm_opt = opt;
+    bohm_opt.clients = t / 2 < 2 ? 2 : t / 2;
+
+    BenchResult stat = YcsbPoint(HotspotBohm(base, t, /*adaptive=*/false),
+                                 base.Ycsb(), HotspotSource(base), bohm_opt);
     json.AddPoint(params("static"), "Bohm-static", stat);
 
-    BenchResult adpt = HotspotBohmPoint(base, t, opt, /*adaptive=*/true);
+    BenchResult adpt = YcsbPoint(HotspotBohm(base, t, /*adaptive=*/true),
+                                 base.Ycsb(), HotspotSource(base), bohm_opt);
     json.AddPoint(params("adaptive"), "Bohm-adaptive", adpt);
 
     report.AddRow({std::to_string(threads),

@@ -44,12 +44,13 @@ int main() {
       bcfg.exec_threads = static_cast<uint32_t>(et);
       bcfg.batch_size =
           static_cast<uint32_t>(EnvInt64("BOHM_BENCH_BATCH_SIZE", 256));
-      BenchResult r = YcsbBohmPoint(
-          ycfg, 0,
-          [](YcsbGenerator& gen) {
-            return gen.Make(YcsbGenerator::TxnType::k10Rmw);
-          },
-          opt, &bcfg);
+      BenchResult r = YcsbPoint(
+          std::make_unique<BohmEngine>(YcsbCatalog(ycfg), bcfg), ycfg,
+          YcsbSource(ycfg,
+                     [](YcsbGenerator& gen) {
+                       return gen.Make(YcsbGenerator::TxnType::k10Rmw);
+                     }),
+          opt);
       row.push_back(Report::FormatTput(r.Throughput()));
       json.AddPoint({{"cc_threads", std::to_string(cc)},
                      {"exec_threads", std::to_string(et)}},

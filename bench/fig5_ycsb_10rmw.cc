@@ -29,7 +29,9 @@ void RunContention(double theta, const char* label, const char* tag,
   };
 
   std::vector<std::string> cols = {"threads"};
-  for (const System& s : AllSystems()) cols.push_back(s.label + " (txns/s)");
+  for (EngineKind kind : kAllEngines) {
+    cols.push_back(std::string(EngineKindName(kind)) + " (txns/s)");
+  }
   cols.push_back("Bohm p50(us)");
   cols.push_back("Bohm p99(us)");
   cols.push_back("Bohm p999(us)");
@@ -40,14 +42,12 @@ void RunContention(double theta, const char* label, const char* tag,
   for (int threads : BenchThreads()) {
     std::vector<std::string> row = {std::to_string(threads)};
     uint64_t bohm_p50 = 0, bohm_p99 = 0, bohm_p999 = 0;
-    for (const System& s : AllSystems()) {
-      BenchResult r =
-          s.is_bohm
-              ? YcsbBohmPoint(cfg, static_cast<uint32_t>(threads), fn, opt)
-              : YcsbExecutorPoint(s.kind, cfg,
-                                  static_cast<uint32_t>(threads), fn, opt);
+    for (EngineKind kind : kAllEngines) {
+      BenchResult r = YcsbPoint(
+          MakeEngine(kind, YcsbCatalog(cfg), static_cast<uint32_t>(threads)),
+          cfg, YcsbSource(cfg, fn), opt);
       row.push_back(Report::FormatTput(r.Throughput()));
-      if (s.is_bohm) {
+      if (kind == EngineKind::kBohm) {
         bohm_p50 = r.P50Us();
         bohm_p99 = r.P99Us();
         bohm_p999 = r.P999Us();
@@ -55,7 +55,7 @@ void RunContention(double theta, const char* label, const char* tag,
       json.AddPoint({{"contention", tag},
                      {"theta", Report::FormatDouble(theta, 2)},
                      {"threads", std::to_string(threads)}},
-                    s.label, r);
+                    EngineKindName(kind), r);
     }
     row.push_back(std::to_string(bohm_p50));
     row.push_back(std::to_string(bohm_p99));

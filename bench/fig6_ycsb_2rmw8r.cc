@@ -25,9 +25,9 @@ void RunContention(double theta, const char* label, const char* tag,
   };
 
   std::vector<std::string> cols = {"threads"};
-  for (const System& s : AllSystems()) {
-    cols.push_back(s.label + " (txns/s)");
-    cols.push_back(s.label + " abort%");
+  for (EngineKind kind : kAllEngines) {
+    cols.push_back(std::string(EngineKindName(kind)) + " (txns/s)");
+    cols.push_back(std::string(EngineKindName(kind)) + " abort%");
   }
   Report report(std::string("Figure 6 (") + label +
                     "): YCSB 2RMW-8R, theta=" + Report::FormatDouble(theta, 2),
@@ -35,18 +35,16 @@ void RunContention(double theta, const char* label, const char* tag,
 
   for (int threads : BenchThreads()) {
     std::vector<std::string> row = {std::to_string(threads)};
-    for (const System& s : AllSystems()) {
-      BenchResult r =
-          s.is_bohm
-              ? YcsbBohmPoint(cfg, static_cast<uint32_t>(threads), fn, opt)
-              : YcsbExecutorPoint(s.kind, cfg,
-                                  static_cast<uint32_t>(threads), fn, opt);
+    for (EngineKind kind : kAllEngines) {
+      BenchResult r = YcsbPoint(
+          MakeEngine(kind, YcsbCatalog(cfg), static_cast<uint32_t>(threads)),
+          cfg, YcsbSource(cfg, fn), opt);
       row.push_back(Report::FormatTput(r.Throughput()));
       row.push_back(Report::FormatDouble(100.0 * r.AbortRate(), 1));
       json.AddPoint({{"contention", tag},
                      {"theta", Report::FormatDouble(theta, 2)},
                      {"threads", std::to_string(threads)}},
-                    s.label, r);
+                    EngineKindName(kind), r);
     }
     report.AddRow(std::move(row));
   }

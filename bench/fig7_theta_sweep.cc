@@ -22,7 +22,9 @@ int main() {
 
   JsonReport json("fig7_theta_sweep");
   std::vector<std::string> cols = {"theta"};
-  for (const System& s : AllSystems()) cols.push_back(s.label + " (txns/s)");
+  for (EngineKind kind : kAllEngines) {
+    cols.push_back(std::string(EngineKindName(kind)) + " (txns/s)");
+  }
   cols.push_back("Bohm p50(us)");
   cols.push_back("Bohm p99(us)");
   Report report("Figure 7: YCSB 2RMW-8R vs. contention (theta), " +
@@ -36,20 +38,18 @@ int main() {
     cfg.theta = theta;
     std::vector<std::string> row = {Report::FormatDouble(theta, 2)};
     uint64_t bohm_p50 = 0, bohm_p99 = 0;
-    for (const System& s : AllSystems()) {
-      BenchResult r =
-          s.is_bohm
-              ? YcsbBohmPoint(cfg, static_cast<uint32_t>(threads), fn, opt)
-              : YcsbExecutorPoint(s.kind, cfg,
-                                  static_cast<uint32_t>(threads), fn, opt);
+    for (EngineKind kind : kAllEngines) {
+      BenchResult r = YcsbPoint(
+          MakeEngine(kind, YcsbCatalog(cfg), static_cast<uint32_t>(threads)),
+          cfg, YcsbSource(cfg, fn), opt);
       row.push_back(Report::FormatTput(r.Throughput()));
-      if (s.is_bohm) {
+      if (kind == EngineKind::kBohm) {
         bohm_p50 = r.P50Us();
         bohm_p99 = r.P99Us();
       }
       json.AddPoint({{"theta", Report::FormatDouble(theta, 2)},
                      {"threads", std::to_string(threads)}},
-                    s.label, r);
+                    EngineKindName(kind), r);
     }
     row.push_back(std::to_string(bohm_p50));
     row.push_back(std::to_string(bohm_p99));

@@ -25,7 +25,9 @@ int main() {
 
   JsonReport json("fig8_readonly_mix");
   std::vector<std::string> cols = {"readonly%"};
-  for (const System& s : AllSystems()) cols.push_back(s.label + " (txns/s)");
+  for (EngineKind kind : kAllEngines) {
+    cols.push_back(std::string(EngineKindName(kind)) + " (txns/s)");
+  }
   Report report(
       "Figure 8: YCSB 10RMW + long read-only transactions (scan " +
           std::to_string(cfg.scan_size) + " records), " +
@@ -35,16 +37,14 @@ int main() {
   for (double frac : fractions) {
     auto fn = [frac](YcsbGenerator& gen) { return gen.MakeMixed(frac); };
     std::vector<std::string> row = {Report::FormatDouble(100 * frac, 0)};
-    for (const System& s : AllSystems()) {
-      BenchResult r =
-          s.is_bohm
-              ? YcsbBohmPoint(cfg, static_cast<uint32_t>(threads), fn, opt)
-              : YcsbExecutorPoint(s.kind, cfg,
-                                  static_cast<uint32_t>(threads), fn, opt);
+    for (EngineKind kind : kAllEngines) {
+      BenchResult r = YcsbPoint(
+          MakeEngine(kind, YcsbCatalog(cfg), static_cast<uint32_t>(threads)),
+          cfg, YcsbSource(cfg, fn), opt);
       row.push_back(Report::FormatTput(r.Throughput()));
       json.AddPoint({{"readonly_pct", Report::FormatDouble(100 * frac, 0)},
                      {"threads", std::to_string(threads)}},
-                    s.label, r);
+                    EngineKindName(kind), r);
     }
     report.AddRow(std::move(row));
   }

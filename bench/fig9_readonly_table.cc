@@ -19,10 +19,14 @@ int main() {
   const DriverOptions opt = BenchDriverOptions();
   const int threads = BenchThreads().back();
   auto fn = [](YcsbGenerator& gen) { return gen.MakeMixed(0.01); };
+  auto point = [&](EngineKind kind) {
+    return YcsbPoint(
+        MakeEngine(kind, YcsbCatalog(cfg), static_cast<uint32_t>(threads)),
+        cfg, YcsbSource(cfg, fn), opt);
+  };
 
   // Bohm first: it is the 100% reference.
-  BenchResult bohm_r =
-      YcsbBohmPoint(cfg, static_cast<uint32_t>(threads), fn, opt);
+  BenchResult bohm_r = point(EngineKind::kBohm);
   const double bohm_tput = bohm_r.Throughput();
 
   JsonReport json("fig9_readonly_table");
@@ -32,14 +36,14 @@ int main() {
           std::to_string(threads) + " threads",
       {"System", "Throughput (txns/sec)", "% Bohm's Throughput"});
   report.AddRow({"Bohm", Report::FormatTput(bohm_tput), "100%"});
-  for (const System& s : AllSystems()) {
-    if (s.is_bohm) continue;
-    BenchResult r = YcsbExecutorPoint(s.kind, cfg,
-                                      static_cast<uint32_t>(threads), fn, opt);
+  for (EngineKind kind : kAllEngines) {
+    if (kind == EngineKind::kBohm) continue;
+    BenchResult r = point(kind);
     double pct = bohm_tput > 0 ? 100.0 * r.Throughput() / bohm_tput : 0;
-    report.AddRow({s.label, Report::FormatTput(r.Throughput()),
+    report.AddRow({EngineKindName(kind), Report::FormatTput(r.Throughput()),
                    Report::FormatDouble(pct, 2) + "%"});
-    json.AddPoint({{"threads", std::to_string(threads)}}, s.label, r);
+    json.AddPoint({{"threads", std::to_string(threads)}},
+                  EngineKindName(kind), r);
   }
   report.Print();
   json.Write();

@@ -36,13 +36,12 @@ int main() {
                 {"system", "txns/s", "mean(us)", "p50(us)", "p99(us)",
                  "p999(us)", "max(us)", "seq_stall(ms)", "cc_stall(ms)",
                  "exec_stall(ms)"});
-  for (const System& s : AllSystems()) {
-    BenchResult r =
-        s.is_bohm
-            ? YcsbBohmPoint(cfg, static_cast<uint32_t>(threads), fn, opt)
-            : YcsbExecutorPoint(s.kind, cfg, static_cast<uint32_t>(threads),
-                                fn, opt);
-    report.AddRow({s.is_bohm ? s.label + " (e2e)" : s.label,
+  for (EngineKind kind : kAllEngines) {
+    BenchResult r = YcsbPoint(
+        MakeEngine(kind, YcsbCatalog(cfg), static_cast<uint32_t>(threads)),
+        cfg, YcsbSource(cfg, fn), opt);
+    const std::string label = EngineKindName(kind);
+    report.AddRow({kind == EngineKind::kBohm ? label + " (e2e)" : label,
                    Report::FormatTput(r.Throughput()),
                    Report::FormatDouble(r.latency_us.Mean(), 1),
                    std::to_string(r.P50Us()), std::to_string(r.P99Us()),
@@ -54,7 +53,7 @@ int main() {
                        static_cast<double>(r.cc_stall_ns) / 1e6, 1),
                    Report::FormatDouble(
                        static_cast<double>(r.exec_stall_ns) / 1e6, 1)});
-    json.AddPoint({{"threads", std::to_string(threads)}}, s.label, r);
+    json.AddPoint({{"threads", std::to_string(threads)}}, label, r);
   }
   report.Print();
   json.Write();

@@ -36,11 +36,10 @@ int main(int argc, char** argv) {
               threads, static_cast<unsigned long long>(cfg.record_count));
   std::printf("%-8s  %14s  %12s  %10s\n", "system", "txns/s", "cc-aborts",
               "abort-rate");
-  for (const System& s : AllSystems()) {
-    BenchResult r = s.is_bohm
-                        ? YcsbBohmPoint(cfg, threads, fn, opt)
-                        : YcsbExecutorPoint(s.kind, cfg, threads, fn, opt);
-    std::printf("%-8s  %14.0f  %12llu  %9.1f%%\n", s.label.c_str(),
+  for (EngineKind kind : kAllEngines) {
+    BenchResult r = YcsbPoint(MakeEngine(kind, YcsbCatalog(cfg), threads),
+                              cfg, YcsbSource(cfg, fn), opt);
+    std::printf("%-8s  %14.0f  %12llu  %9.1f%%\n", EngineKindName(kind),
                 r.Throughput(),
                 static_cast<unsigned long long>(r.cc_aborts),
                 100.0 * r.AbortRate());

@@ -7,7 +7,7 @@
 // single-consumer feed rings (common/queue.h); every CC thread walks every
 // announced batch in order (deriving parallelism from intra-transaction
 // partitioning, not batch partitioning) and advances its own entry in a
-// WatermarkSet (common/barrier.h) when its partition slice is done.
+// WatermarkSet (common/watermark.h) when its partition slice is done.
 // Execution threads may start striping batch b as soon as
 // min(cc_watermark) >= b — CC threads stream straight into batch b+1
 // while execution is still inside b (Section 3.3.1).

@@ -40,11 +40,11 @@
 #include <thread>
 #include <vector>
 
-#include "common/barrier.h"
 #include "common/macros.h"
 #include "common/queue.h"
 #include "common/stats.h"
 #include "common/status.h"
+#include "common/watermark.h"
 #include "bohm/batch.h"
 #include "bohm/repartition.h"
 #include "bohm/table.h"
@@ -53,6 +53,7 @@
 #include "log/batch_log.h"
 #include "log/log_writer.h"
 #include "storage/schema.h"
+#include "txn/engine_iface.h"
 
 namespace bohm {
 
@@ -158,22 +159,22 @@ struct BohmTestHooks {
       exec_dependency;
 };
 
-class BohmEngine {
+class BohmEngine final : public Engine {
  public:
   BohmEngine(const Catalog& catalog, BohmConfig cfg);
-  ~BohmEngine();
+  ~BohmEngine() override;
   BOHM_DISALLOW_COPY_AND_ASSIGN(BohmEngine);
 
   /// Inserts an initial record (timestamp-0 version). Must be called
   /// before Start(); single-threaded.
-  Status Load(TableId table, Key key, const void* payload);
+  Status Load(TableId table, Key key, const void* payload) override;
 
   /// Spawns the sequencer, CC, and execution threads. With durability
   /// enabled, also opens the log and starts the log-writer thread; fails
   /// with FailedPrecondition if the log directory already holds segments
   /// and Recover() was not called first (silently continuing would fork
   /// the seqno history).
-  Status Start();
+  Status Start() override;
 
   /// Crash recovery: scans the durable log (repairing a torn or
   /// checksum-failing tail by truncation), starts the engine, and replays
@@ -210,6 +211,12 @@ class BohmEngine {
   /// (it was moved in) and nothing was enqueued.
   Status Submit(ProcedurePtr proc);
 
+  /// Engine interface: every client feeds the same input queue, so
+  /// `client` is ignored.
+  Status Submit(ProcedurePtr proc, uint32_t /*client*/) override {
+    return Submit(std::move(proc));
+  }
+
   /// Non-owning variant for procedures whose results the caller wants to
   /// read back (e.g. a read-only scan's aggregate): the caller keeps
   /// ownership and must keep the object alive until the transaction has
@@ -220,10 +227,16 @@ class BohmEngine {
   Status RunSync(ProcedurePtr proc);
 
   /// Blocks until every transaction submitted so far has been executed.
-  void WaitForIdle();
+  void WaitForIdle() override;
 
   /// Aggregated execution counters plus per-stage stall attribution.
-  StatsSnapshot Stats() const;
+  StatsSnapshot Stats() const override;
+
+  const char* name() const override { return "Bohm"; }
+
+  /// Two feeders keep the input queue full; the pipeline stages, not
+  /// submission, are the bottleneck.
+  uint32_t default_clients() const override { return 2; }
 
   /// The execution low-watermark: every batch with id <= Watermark() has
   /// been fully executed by every execution thread (drives GC and batch

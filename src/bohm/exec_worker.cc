@@ -275,15 +275,8 @@ bool BohmEngine::TryExecute(uint32_t exec_id, BohmTxn* txn, uint32_t depth) {
       txn->writes[i].version->flags.store(flags, std::memory_order_release);
     }
     // Submit→commit-ack latency: stamped at Submit(), recorded here at
-    // commit publication. Rounded up to a whole microsecond so a
-    // committed transaction never contributes a zero sample, and recorded
-    // before the commit counter so any fold that observes the commit
-    // (e.g. a WaitForIdle-quiesced snapshot) also observes its sample —
-    // that ordering is what makes histogram count == commits exact at
-    // quiescent points.
-    const uint64_t lat_ns = MonotonicNanos() - txn->submit_tick;
-    stats.latency_us.Record(lat_ns / 1000 + (lat_ns % 1000 != 0 ? 1 : 0));
-    stats.commits.Inc();
+    // commit publication.
+    RecordCommit(stats, txn->submit_tick);
   }
   txn->state.store(static_cast<uint32_t>(ExecState::kComplete),
                    std::memory_order_release);

@@ -36,8 +36,8 @@
 #include <memory>
 #include <vector>
 
-#include "common/barrier.h"
 #include "common/macros.h"
+#include "common/watermark.h"
 
 namespace bohm {
 

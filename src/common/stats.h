@@ -20,9 +20,10 @@
 
 namespace bohm {
 
-/// Monotonic clock reading in nanoseconds. The submit→commit latency
-/// stamps use this single definition so both ends of the measurement are
-/// taken on the same clock.
+/// Monotonic clock reading in nanoseconds. Every commit-latency stamp
+/// (Bohm's Submit() tick, an executor's Execute() entry, RecordCommit)
+/// uses this single definition so both ends of a measurement are taken
+/// on the same clock.
 inline uint64_t MonotonicNanos() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -58,12 +59,23 @@ struct alignas(kCacheLineSize) ThreadStats {
   RelaxedCounter retries;       // re-executions after a cc abort
   RelaxedCounter reads;
   RelaxedCounter writes;
-  /// Submit→commit-ack latency in microseconds, one sample per commit.
-  /// Recorded by engines whose commit point is off the submitting thread
-  /// (Bohm's execution stage); executor engines leave it empty and the
-  /// driver measures on-thread latency instead.
+  /// Commit latency in microseconds, one sample per commit, recorded by
+  /// RecordCommit. Bohm records submit→commit-ack time in its execution
+  /// stage; executor engines record on-thread Execute() time.
   AtomicHistogram latency_us;
 };
+
+/// Counts one commit on `st`: records the latency since `start_ns` (a
+/// MonotonicNanos() reading), rounded up to whole microseconds so a
+/// commit never contributes a zero sample, then bumps the commit counter.
+/// Sample first: any fold that observes the commit (e.g. a quiesced
+/// snapshot) also observes its sample, which makes latency_us.count() ==
+/// commits exact at quiescent points.
+inline void RecordCommit(ThreadStats& st, uint64_t start_ns) {
+  const uint64_t lat_ns = MonotonicNanos() - start_ns;
+  st.latency_us.Record(lat_ns / 1000 + (lat_ns % 1000 != 0 ? 1 : 0));
+  st.commits.Inc();
+}
 
 /// Aggregated view (plain values; safe to copy around — note the latency
 /// histogram makes this a few KB, so avoid copying in tight loops).

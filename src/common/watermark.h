@@ -1,11 +1,10 @@
-// Inter-thread progress primitives for the batch pipeline.
-//
-//  * WatermarkSet — per-thread epoch watermarks with a min fold. The
-//    streamed Bohm pipeline replaces its one-barrier-per-batch CC handoff
-//    (Section 3.2.4 of the paper) with these: each CC thread advances its
-//    own watermark as it finishes its partition slice of a batch, and the
-//    execution stage starts batch b as soon as min(watermarks) >= b — no
-//    thread ever parks at a barrier on the hot path.
+// WatermarkSet — per-thread epoch watermarks with a min fold, the
+// inter-thread progress primitive of the batch pipeline. The streamed
+// Bohm pipeline replaces its one-barrier-per-batch CC handoff (Section
+// 3.2.4 of the paper) with these: each CC thread advances its own
+// watermark as it finishes its partition slice of a batch, and the
+// execution stage starts batch b as soon as min(watermarks) >= b — no
+// thread ever parks at a barrier on the hot path.
 #pragma once
 
 #include <atomic>

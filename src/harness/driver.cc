@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -25,9 +26,7 @@ BenchResult Window(const StatsSnapshot& before, const StatsSnapshot& after,
   r.cc_aborts = after.cc_aborts - before.cc_aborts;
   r.logic_aborts = after.logic_aborts - before.logic_aborts;
   // Engine-side latency histograms grow monotonically, so the window is
-  // the bucket-wise difference of the two snapshots. Empty for executor
-  // engines (they record nothing engine-side); RunExecutorBench merges
-  // its driver-side per-thread histograms on top.
+  // the bucket-wise difference of the two snapshots.
   r.latency_us = Histogram::Delta(after.latency_us, before.latency_us);
   // Stall attribution is monotone like the counters (zero for executor
   // engines).
@@ -45,161 +44,110 @@ BenchResult Window(const StatsSnapshot& before, const StatsSnapshot& after,
   return r;
 }
 
-}  // namespace
-
-BenchResult RunExecutorBench(ExecutorEngine& engine,
-                             const TxnSourceMaker& maker,
-                             const DriverOptions& opt) {
-  const uint32_t threads = engine.worker_threads();
-  // Thread-safety: the driver coordinates workers only through these
-  // acquire/release flags and per-thread histograms (single-writer each,
-  // folded after join) — no locks, nothing for the static analysis to
-  // track (docs/CONCURRENCY.md).
-  std::atomic<bool> stop{false};
-  std::atomic<bool> measuring{false};
-  std::vector<Histogram> latencies(threads);
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (uint32_t t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      TxnSource source = maker(t);
-      Histogram& lat = latencies[t];
-      while (!stop.load(std::memory_order_acquire)) {
-        ProcedurePtr proc = source();
-        if (measuring.load(std::memory_order_acquire)) {
-          auto s = Clock::now();
-          (void)engine.Execute(*proc, t);
-          lat.Record(static_cast<uint64_t>(
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  Clock::now() - s)
-                  .count()));
-        } else {
-          (void)engine.Execute(*proc, t);
-        }
-      }
-    });
-  }
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(opt.warmup_ms));
-  // Snapshot the counters before opening the latency gate (and close it
-  // before the closing snapshot): every recorded transaction then commits
-  // inside the counter window except for at most one in-flight
-  // transaction per worker at each edge, so the histogram count tracks
-  // the window's commits to within `threads` samples — warmup-window
-  // commits never appear in the histogram.
-  StatsSnapshot before = engine.Stats();
-  auto t0 = Clock::now();
-  measuring.store(true, std::memory_order_release);
-  std::this_thread::sleep_for(std::chrono::milliseconds(opt.measure_ms));
-  measuring.store(false, std::memory_order_release);
-  StatsSnapshot after = engine.Stats();
-  auto t1 = Clock::now();
-
-  stop.store(true, std::memory_order_release);
-  for (auto& w : workers) w.join();
-  BenchResult r = Window(before, after, Seconds(t0, t1));
-  for (const Histogram& h : latencies) r.latency_us.Merge(h);
-  return r;
-}
-
-BenchResult RunBohmBench(BohmEngine& engine, const TxnSourceMaker& maker,
-                         uint32_t client_threads, const DriverOptions& opt) {
-  if (client_threads == 0) client_threads = 1;
-  std::atomic<bool> stop{false};
-  std::atomic<bool> pause{false};
-  std::atomic<uint32_t> parked{0};
-  std::atomic<uint32_t> alive{client_threads};
-  std::vector<std::thread> clients;
-  clients.reserve(client_threads);
-  for (uint32_t t = 0; t < client_threads; ++t) {
-    clients.emplace_back([&, t] {
-      TxnSource source = maker(t);
-      while (!stop.load(std::memory_order_acquire)) {
-        if (pause.load(std::memory_order_acquire)) {
-          parked.fetch_add(1, std::memory_order_acq_rel);
-          SpinWait wait;
-          while (pause.load(std::memory_order_acquire) &&
-                 !stop.load(std::memory_order_acquire)) {
-            wait.Pause();
+/// Client threads submitting from per-client sources. Client c submits at
+/// most its share of `total` transactions; Park() holds every client
+/// between two submissions so the engine can be drained. Thread-safety:
+/// clients coordinate with the driver only through these acquire/release
+/// flags — no locks, nothing for the static analysis to track
+/// (docs/CONCURRENCY.md).
+class Clients {
+ public:
+  Clients(Engine& engine, const TxnSourceMaker& maker, uint32_t n,
+          uint64_t total)
+      : alive_(n) {
+    threads_.reserve(n);
+    for (uint32_t c = 0; c < n; ++c) {
+      const uint64_t quota = total / n + (c < total % n ? 1 : 0);
+      threads_.emplace_back([this, &engine, &maker, c, quota] {
+        TxnSource source = maker(c);
+        uint64_t done = 0;
+        while (done < quota && !stop_.load(std::memory_order_acquire)) {
+          if (pause_.load(std::memory_order_acquire)) {
+            parked_.fetch_add(1, std::memory_order_acq_rel);
+            SpinWait wait;
+            while (pause_.load(std::memory_order_acquire) &&
+                   !stop_.load(std::memory_order_acquire)) {
+              wait.Pause();
+            }
+            parked_.fetch_sub(1, std::memory_order_acq_rel);
+            continue;
           }
-          parked.fetch_sub(1, std::memory_order_acq_rel);
-          continue;
+          // Bohm's Submit blocks (yielding) while its input queue is full,
+          // which is the closed loop's back-pressure.
+          if (!engine.Submit(source(), c).ok()) break;
+          ++done;
         }
-        // Submit blocks (yielding) when the pipeline is full, providing
-        // natural back-pressure.
-        if (!engine.Submit(source()).ok()) break;
-      }
-      alive.fetch_sub(1, std::memory_order_acq_rel);
-    });
+        alive_.fetch_sub(1, std::memory_order_acq_rel);
+      });
+    }
+  }
+  ~Clients() {
+    stop_.store(true, std::memory_order_release);
+    Join();
   }
 
-  // Both window edges are quiescent points: park every client, drain the
-  // pipeline, then snapshot. This fixes the pipelined window skew — a
-  // transaction submitted during warmup can no longer have its commit
-  // land inside the window (and a window submission cannot leak past the
-  // closing edge), so the window's commit count, latency-histogram count
-  // and wall-clock window all cover exactly the same transactions, at
-  // the cost of re-filling the pipeline at the opening edge (microseconds
-  // against a >=100ms window).
-  auto quiesced_snapshot = [&]() -> StatsSnapshot {
-    pause.store(true, std::memory_order_release);
+  /// Returns once no client is inside Submit, nor will enter it before
+  /// Resume().
+  void Park() {
+    pause_.store(true, std::memory_order_release);
     SpinWait wait;
-    while (parked.load(std::memory_order_acquire) <
-           alive.load(std::memory_order_acquire)) {
+    while (parked_.load(std::memory_order_acquire) <
+           alive_.load(std::memory_order_acquire)) {
       wait.Pause();
     }
-    engine.WaitForIdle();
-    return engine.Stats();
-  };
+  }
+  void Resume() { pause_.store(false, std::memory_order_release); }
 
-  std::this_thread::sleep_for(std::chrono::milliseconds(opt.warmup_ms));
-  StatsSnapshot before = quiesced_snapshot();
-  auto t0 = Clock::now();
-  pause.store(false, std::memory_order_release);
-  std::this_thread::sleep_for(std::chrono::milliseconds(opt.measure_ms));
-  StatsSnapshot after = quiesced_snapshot();
-  auto t1 = Clock::now();
+  /// Waits for every client to finish its quota (or to be stopped).
+  void Join() {
+    for (auto& t : threads_) {
+      if (t.joinable()) t.join();
+    }
+  }
 
-  stop.store(true, std::memory_order_release);
-  pause.store(false, std::memory_order_release);
-  for (auto& c : clients) c.join();
+ private:
+  std::atomic<bool> stop_{false};
+  std::atomic<bool> pause_{false};
+  std::atomic<uint32_t> parked_{0};
+  std::atomic<uint32_t> alive_;
+  std::vector<std::thread> threads_;
+};
+
+/// Snapshot at a quiescent point: the caller has parked or joined every
+/// client, and nothing is left in flight inside the engine.
+StatsSnapshot QuiescedStats(Engine& engine) {
   engine.WaitForIdle();
+  return engine.Stats();
+}
+
+}  // namespace
+
+BenchResult RunBench(Engine& engine, const TxnSourceMaker& maker,
+                     const DriverOptions& opt) {
+  const uint32_t n =
+      opt.clients != 0 ? opt.clients : engine.default_clients();
+  Clients clients(engine, maker, n, std::numeric_limits<uint64_t>::max());
+  std::this_thread::sleep_for(std::chrono::milliseconds(opt.warmup_ms));
+  clients.Park();
+  StatsSnapshot before = QuiescedStats(engine);
+  auto t0 = Clock::now();
+  clients.Resume();
+  std::this_thread::sleep_for(std::chrono::milliseconds(opt.measure_ms));
+  clients.Park();
+  StatsSnapshot after = QuiescedStats(engine);
+  auto t1 = Clock::now();
   return Window(before, after, Seconds(t0, t1));
 }
 
-BenchResult RunExecutorCount(ExecutorEngine& engine,
-                             const TxnSourceMaker& maker,
-                             uint64_t count_per_thread) {
-  const uint32_t threads = engine.worker_threads();
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  StatsSnapshot before = engine.Stats();
-  auto t0 = std::chrono::steady_clock::now();
-  for (uint32_t t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      TxnSource source = maker(t);
-      for (uint64_t i = 0; i < count_per_thread; ++i) {
-        ProcedurePtr proc = source();
-        (void)engine.Execute(*proc, t);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  auto t1 = std::chrono::steady_clock::now();
-  return Window(before, engine.Stats(), Seconds(t0, t1));
-}
-
-BenchResult RunBohmCount(BohmEngine& engine, const TxnSourceMaker& maker,
-                         uint64_t total_count) {
-  TxnSource source = maker(0);
-  StatsSnapshot before = engine.Stats();
-  auto t0 = std::chrono::steady_clock::now();
-  for (uint64_t i = 0; i < total_count; ++i) {
-    (void)engine.Submit(source());
-  }
-  engine.WaitForIdle();
-  auto t1 = std::chrono::steady_clock::now();
-  return Window(before, engine.Stats(), Seconds(t0, t1));
+BenchResult RunCount(Engine& engine, const TxnSourceMaker& maker,
+                     uint64_t total) {
+  StatsSnapshot before = QuiescedStats(engine);
+  auto t0 = Clock::now();
+  Clients clients(engine, maker, engine.default_clients(), total);
+  clients.Join();
+  StatsSnapshot after = QuiescedStats(engine);
+  auto t1 = Clock::now();
+  return Window(before, after, Seconds(t0, t1));
 }
 
 }  // namespace bohm

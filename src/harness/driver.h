@@ -1,14 +1,16 @@
-// Workload drivers shared by every benchmark binary and the integration
-// tests.
+// The workload driver shared by every benchmark binary and the
+// integration tests. It measures all five engines the same way (the
+// paper's Section 4 methodology), through the common `Engine` interface
+// (src/txn/engine_iface.h): client threads submit transactions in a
+// closed loop — each executor client runs its transaction inline in its
+// own worker slot, Bohm's clients feed the sequencer while the engine's
+// own threads do the work.
 //
-// Two engine shapes exist (mirroring the paper's Section 4 methodology):
-//  * executor engines (2PL, OCC, Hekaton, SI) run transactions on the
-//    submitting thread — the driver spawns N closed-loop worker threads;
-//  * Bohm is pipelined — the driver spawns client threads that feed the
-//    sequencer's input queue while the engine's own threads do the work.
-//
-// Throughput is measured over a timed window after a warmup, as the
-// difference of engine counter snapshots.
+// Every window edge is quiesced: the clients are parked, WaitForIdle()
+// drains whatever is in flight, and only then are the engine's counters
+// snapshotted. A window is the difference of two such snapshots, so its
+// commit count, latency histogram and wall clock cover exactly the same
+// transactions.
 #pragma once
 
 #include <cstdint>
@@ -17,19 +19,21 @@
 
 #include "common/histogram.h"
 #include "common/stats.h"
-#include "bohm/engine.h"
 #include "txn/engine_iface.h"
 
 namespace bohm {
 
-/// A per-thread transaction source: the driver calls the maker once per
-/// worker thread; the returned closure owns that thread's generator state.
+/// A per-client transaction source: the driver calls the maker once per
+/// client thread; the returned closure owns that client's generator state.
 using TxnSource = std::function<ProcedurePtr()>;
-using TxnSourceMaker = std::function<TxnSource(uint32_t thread_id)>;
+using TxnSourceMaker = std::function<TxnSource(uint32_t client)>;
 
 struct DriverOptions {
   uint32_t warmup_ms = 100;
   uint32_t measure_ms = 300;
+  /// Client threads; 0 means the engine's default_clients(). An executor
+  /// engine accepts at most one client per worker slot.
+  uint32_t clients = 0;
 };
 
 struct BenchResult {
@@ -37,12 +41,12 @@ struct BenchResult {
   uint64_t commits = 0;
   uint64_t cc_aborts = 0;
   uint64_t logic_aborts = 0;
-  /// Per-transaction latency in microseconds over the measurement window.
-  /// Executor engines: on-thread Execute() latency measured by the
-  /// driver. Bohm: end-to-end submit→commit-ack latency stamped at
-  /// Submit() and recorded at commit publication in the execution stage,
-  /// windowed between two quiesced snapshots so its count equals
-  /// `commits` exactly.
+  /// Per-commit latency in microseconds over the window, recorded by the
+  /// engine (RecordCommit). Executor engines: on-thread Execute() time.
+  /// Bohm: end-to-end submit→commit-ack time, stamped at Submit() and
+  /// recorded at commit publication in the execution stage. The window
+  /// lies between two quiesced snapshots, so its count equals `commits`
+  /// exactly.
   Histogram latency_us;
   /// Per-stage stall attribution over the window (pipelined engines
   /// only): wall-clock nanoseconds each stage spent waiting on another
@@ -81,31 +85,18 @@ struct BenchResult {
   uint64_t P999Us() const { return latency_us.Percentile(0.999); }
 };
 
-/// Closed-loop driver: engine.worker_threads() threads each repeatedly
-/// generate and Execute transactions until the measurement window closes.
-BenchResult RunExecutorBench(ExecutorEngine& engine,
-                             const TxnSourceMaker& maker,
-                             const DriverOptions& opt);
+/// Timed closed-loop run on a started engine: opt.clients threads submit
+/// transactions from maker(client) for a warmup, then for the measurement
+/// window. Both window edges are quiesced; the throughput window includes
+/// the closing drain and the opening re-fill, which is noise of
+/// microseconds against the >=100ms windows the benches use.
+BenchResult RunBench(Engine& engine, const TxnSourceMaker& maker,
+                     const DriverOptions& opt);
 
-/// Pipelined driver for Bohm: `client_threads` feeder threads submit
-/// transactions (the input queue provides back-pressure) while the
-/// engine's sequencer/CC/execution threads process them. The engine must
-/// already be started. Both window edges are quiesced (clients parked,
-/// pipeline drained) so the commit count, the latency histogram and the
-/// wall-clock window describe exactly the same set of transactions —
-/// the throughput window includes the closing drain and the opening
-/// pipeline re-fill, which is noise of microseconds against the >=100ms
-/// windows the benches use.
-BenchResult RunBohmBench(BohmEngine& engine, const TxnSourceMaker& maker,
-                         uint32_t client_threads, const DriverOptions& opt);
-
-/// Fixed-count variants used by integration tests: run exactly `count`
-/// transactions per worker (executor) or `count` in total (Bohm), to
-/// completion, and return the elapsed-time result.
-BenchResult RunExecutorCount(ExecutorEngine& engine,
-                             const TxnSourceMaker& maker,
-                             uint64_t count_per_thread);
-BenchResult RunBohmCount(BohmEngine& engine, const TxnSourceMaker& maker,
-                         uint64_t total_count);
+/// Fixed-count run on a started engine: engine.default_clients() threads
+/// submit exactly `total` transactions between them, to completion, and
+/// the result covers exactly those transactions.
+BenchResult RunCount(Engine& engine, const TxnSourceMaker& maker,
+                     uint64_t total);
 
 }  // namespace bohm

@@ -1,9 +1,11 @@
-// Uniform construction of the paper's four baseline engines, so that the
-// figure benchmarks can sweep "system" as a parameter.
+// Uniform construction of the five engines the paper compares, so that
+// the figure benchmarks can sweep "system" as a parameter.
 #pragma once
 
 #include <memory>
 
+#include "bohm/engine.h"
+#include "harness/sweep.h"
 #include "mvocc/engine.h"
 #include "occ/silo_engine.h"
 #include "storage/schema.h"
@@ -12,7 +14,7 @@
 
 namespace bohm {
 
-enum class EngineKind { k2PL, kOCC, kSI, kHekaton };
+enum class EngineKind { k2PL, kOCC, kSI, kHekaton, kBohm };
 
 inline const char* EngineKindName(EngineKind kind) {
   switch (kind) {
@@ -24,10 +26,14 @@ inline const char* EngineKindName(EngineKind kind) {
       return "SI";
     case EngineKind::kHekaton:
       return "Hekaton";
+    case EngineKind::kBohm:
+      return "Bohm";
   }
   return "?";
 }
 
+/// One of the four executor engines with `threads` worker slots (nullptr
+/// for kBohm, which is not an executor engine).
 inline std::unique_ptr<ExecutorEngine> MakeExecutorEngine(
     EngineKind kind, const Catalog& catalog, uint32_t threads) {
   switch (kind) {
@@ -53,8 +59,26 @@ inline std::unique_ptr<ExecutorEngine> MakeExecutorEngine(
       cfg.threads = threads;
       return std::make_unique<MVOccEngine>(catalog, cfg);
     }
+    case EngineKind::kBohm:
+      break;
   }
   return nullptr;
 }
+
+/// Any of the five engines with `threads` worker threads; Bohm splits
+/// them between its CC and execution stages (BohmSplit).
+inline std::unique_ptr<Engine> MakeEngine(EngineKind kind,
+                                          const Catalog& catalog,
+                                          uint32_t threads) {
+  if (kind == EngineKind::kBohm) {
+    return std::make_unique<BohmEngine>(catalog, BohmSplit(threads));
+  }
+  return MakeExecutorEngine(kind, catalog, threads);
+}
+
+/// The five systems in the paper's plotting order.
+inline constexpr EngineKind kAllEngines[] = {
+    EngineKind::k2PL, EngineKind::kBohm, EngineKind::kOCC, EngineKind::kSI,
+    EngineKind::kHekaton};
 
 }  // namespace bohm

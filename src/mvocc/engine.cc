@@ -338,6 +338,7 @@ Status MVOccEngine::Execute(StoredProcedure& proc, uint32_t thread_id) {
   if (thread_id >= cfg_.threads) {
     return Status::InvalidArgument("bad thread id");
   }
+  const uint64_t start_ns = MonotonicNanos();
   ThreadCtx& ctx = *ctx_[thread_id];
   ThreadStats& st = stats_.Slice(thread_id);
 
@@ -380,7 +381,7 @@ Status MVOccEngine::Execute(StoredProcedure& proc, uint32_t thread_id) {
 
     Postprocess(txn);
     txn->FinishAndResolveDependents(MVTxnState::kCommitted);
-    st.commits.Inc();
+    RecordCommit(st, start_ns);
     return Status::OK();
   }
 }

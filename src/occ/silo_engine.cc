@@ -231,6 +231,7 @@ Status SiloEngine::Execute(StoredProcedure& proc, uint32_t thread_id) {
   if (thread_id >= cfg_.threads) {
     return Status::InvalidArgument("bad thread id");
   }
+  const uint64_t start_ns = MonotonicNanos();
   ThreadCtx& ctx = *ctx_[thread_id];
   ThreadStats& st = stats_.Slice(thread_id);
 
@@ -249,7 +250,7 @@ Status SiloEngine::Execute(StoredProcedure& proc, uint32_t thread_id) {
 
     if (CommitAttempt(ctx)) {
       ctx.consecutive_aborts = 0;
-      st.commits.Inc();
+      RecordCommit(st, start_ns);
       return Status::OK();
     }
     st.cc_aborts.Inc();

@@ -105,6 +105,7 @@ Status TwoPLEngine::Execute(StoredProcedure& proc,
   if (thread_id >= cfg_.threads) {
     return Status::InvalidArgument("bad thread id");
   }
+  const uint64_t start_ns = MonotonicNanos();
   ThreadCtx& ctx = *ctx_[thread_id];
   ThreadStats& st = stats_.Slice(thread_id);
   ctx.held.clear();
@@ -152,7 +153,7 @@ Status TwoPLEngine::Execute(StoredProcedure& proc,
     st.logic_aborts.Inc();
     return Status::Aborted("transaction logic aborted");
   }
-  st.commits.Inc();
+  RecordCommit(st, start_ns);
   return Status::OK();
 }
 

@@ -43,7 +43,7 @@ TEST(BohmLatencyTest, TimedWindowPercentilesNonZeroAndMonotone) {
   DriverOptions opt;
   opt.warmup_ms = 20;
   opt.measure_ms = 80;
-  BenchResult r = RunBohmBench(engine, IncrementMaker(64), 2, opt);
+  BenchResult r = RunBench(engine, IncrementMaker(64), opt);
   ASSERT_GT(r.commits, 0u);
   ASSERT_GT(r.latency_us.count(), 0u);
   // Latency is ceil'd to whole microseconds at the recording site, so a
@@ -68,7 +68,7 @@ TEST(BohmLatencyTest, TimedWindowHistogramCountEqualsCommits) {
   DriverOptions opt;
   opt.warmup_ms = 20;
   opt.measure_ms = 80;
-  BenchResult r = RunBohmBench(engine, IncrementMaker(128), 2, opt);
+  BenchResult r = RunBench(engine, IncrementMaker(128), opt);
   ASSERT_GT(r.commits, 0u);
   EXPECT_EQ(r.latency_us.count(), r.commits);
   engine.Stop();
@@ -81,7 +81,7 @@ TEST(BohmLatencyTest, CountRunRecordsEverySubmission) {
   cfg.batch_size = 16;
   BohmEngine engine(OneTable(64), cfg);
   LoadedEngine(engine, 64);
-  BenchResult r = RunBohmCount(engine, IncrementMaker(64), 400);
+  BenchResult r = RunCount(engine, IncrementMaker(64), 400);
   EXPECT_EQ(r.commits, 400u);
   EXPECT_EQ(r.latency_us.count(), 400u);
   EXPECT_GT(r.P50Us(), 0u);
@@ -99,7 +99,7 @@ TEST(BohmLatencyTest, LatencyCoversPipelineNotJustExecution) {
   cfg.batch_size = 8;
   BohmEngine engine(OneTable(32), cfg);
   LoadedEngine(engine, 32);
-  BenchResult r = RunBohmCount(engine, IncrementMaker(32), 100);
+  BenchResult r = RunCount(engine, IncrementMaker(32), 100);
   ASSERT_EQ(r.latency_us.count(), 100u);
   EXPECT_GE(r.latency_us.Mean(), 1.0);
   EXPECT_GE(r.latency_us.max(), 1u);
@@ -114,9 +114,9 @@ TEST(BohmLatencyTest, EngineHistogramGrowsMonotonically) {
   BohmEngine engine(OneTable(64), cfg);
   LoadedEngine(engine, 64);
   auto maker = IncrementMaker(64);
-  (void)RunBohmCount(engine, maker, 150);
+  (void)RunCount(engine, maker, 150);
   StatsSnapshot s1 = engine.Stats();
-  (void)RunBohmCount(engine, maker, 150);
+  (void)RunCount(engine, maker, 150);
   StatsSnapshot s2 = engine.Stats();
   EXPECT_EQ(s1.latency_us.count(), 150u);
   EXPECT_EQ(s2.latency_us.count(), 300u);

@@ -14,169 +14,79 @@ namespace {
 
 using testutil::OneTable;
 
-TEST(DriverTest, ExecutorCountRunsExactly) {
-  auto engine = MakeExecutorEngine(EngineKind::k2PL, OneTable(64), 2);
-  uint64_t zero = 0;
-  for (Key k = 0; k < 64; ++k) ASSERT_TRUE(engine->Load(0, k, &zero).ok());
-  BenchResult r = RunExecutorCount(
-      *engine,
-      [&](uint32_t tid) {
-        auto rng = std::make_shared<Rng>(tid);
-        return [rng]() -> ProcedurePtr {
-          return std::make_unique<IncrementProcedure>(0, rng->Uniform(64));
-        };
-      },
-      100);
-  EXPECT_EQ(r.commits, 200u);
-  EXPECT_GT(r.seconds, 0.0);
-  EXPECT_GT(r.Throughput(), 0.0);
-}
-
-TEST(DriverTest, ExecutorTimedWindowCommitsSomething) {
-  auto engine = MakeExecutorEngine(EngineKind::kOCC, OneTable(64), 2);
-  uint64_t zero = 0;
-  for (Key k = 0; k < 64; ++k) ASSERT_TRUE(engine->Load(0, k, &zero).ok());
-  DriverOptions opt;
-  opt.warmup_ms = 10;
-  opt.measure_ms = 50;
-  BenchResult r = RunExecutorBench(
-      *engine,
-      [&](uint32_t tid) {
-        auto rng = std::make_shared<Rng>(tid);
-        return [rng]() -> ProcedurePtr {
-          return std::make_unique<IncrementProcedure>(0, rng->Uniform(64));
-        };
-      },
-      opt);
-  EXPECT_GT(r.commits, 0u);
-  EXPECT_NEAR(r.seconds, 0.05, 0.05);
-}
-
-TEST(DriverTest, BohmCountCompletesAll) {
-  BohmConfig cfg;
-  cfg.batch_size = 16;
-  BohmEngine engine(OneTable(64), cfg);
-  uint64_t zero = 0;
-  for (Key k = 0; k < 64; ++k) ASSERT_TRUE(engine.Load(0, k, &zero).ok());
-  ASSERT_TRUE(engine.Start().ok());
-  BenchResult r = RunBohmCount(
-      engine,
-      [&](uint32_t tid) {
-        auto rng = std::make_shared<Rng>(tid);
-        return [rng]() -> ProcedurePtr {
-          return std::make_unique<IncrementProcedure>(0, rng->Uniform(64));
-        };
-      },
-      500);
-  EXPECT_EQ(r.commits, 500u);
-  engine.Stop();
-}
-
-TEST(DriverTest, BohmTimedWindow) {
-  BohmConfig cfg;
-  cfg.batch_size = 32;
-  BohmEngine engine(OneTable(64), cfg);
-  uint64_t zero = 0;
-  for (Key k = 0; k < 64; ++k) ASSERT_TRUE(engine.Load(0, k, &zero).ok());
-  ASSERT_TRUE(engine.Start().ok());
-  DriverOptions opt;
-  opt.warmup_ms = 10;
-  opt.measure_ms = 50;
-  BenchResult r = RunBohmBench(
-      engine,
-      [&](uint32_t tid) {
-        auto rng = std::make_shared<Rng>(tid);
-        return [rng]() -> ProcedurePtr {
-          return std::make_unique<IncrementProcedure>(0, rng->Uniform(64));
-        };
-      },
-      1, opt);
-  EXPECT_GT(r.commits, 0u);
-  engine.Stop();
-}
-
-TEST(DriverTest, ExecutorWarmupExcludedFromWindow) {
-  // The latency gate opens after the `before` counter snapshot and closes
-  // before the `after` one, so warmup commits never enter the histogram
-  // and the histogram count tracks window commits to within one
-  // in-flight transaction per worker at each edge.
-  const uint32_t threads = 2;
-  auto engine = MakeExecutorEngine(EngineKind::k2PL, OneTable(64), threads);
-  uint64_t zero = 0;
-  for (Key k = 0; k < 64; ++k) ASSERT_TRUE(engine->Load(0, k, &zero).ok());
-  DriverOptions opt;
-  opt.warmup_ms = 30;
-  opt.measure_ms = 60;
-  BenchResult r = RunExecutorBench(
-      *engine,
-      [&](uint32_t tid) {
-        auto rng = std::make_shared<Rng>(tid);
-        return [rng]() -> ProcedurePtr {
-          return std::make_unique<IncrementProcedure>(0, rng->Uniform(64));
-        };
-      },
-      opt);
-  ASSERT_GT(r.commits, 0u);
-  uint64_t hist = r.latency_us.count();
-  uint64_t lo = r.commits > threads ? r.commits - threads : 0;
-  EXPECT_GE(hist, lo);
-  EXPECT_LE(hist, r.commits + threads);
-  // Warmup ran for a comparable duration, so the engine's lifetime commit
-  // total strictly exceeds the window's.
-  EXPECT_GT(engine->Stats().commits, r.commits);
-}
-
-TEST(DriverTest, BohmWarmupExcludedFromWindow) {
-  // Both window edges are quiesced, so the histogram delta covers exactly
-  // the window's commits — no warmup leakage in either direction.
-  BohmConfig cfg;
-  cfg.batch_size = 32;
-  BohmEngine engine(OneTable(64), cfg);
-  uint64_t zero = 0;
-  for (Key k = 0; k < 64; ++k) ASSERT_TRUE(engine.Load(0, k, &zero).ok());
-  ASSERT_TRUE(engine.Start().ok());
-  DriverOptions opt;
-  opt.warmup_ms = 30;
-  opt.measure_ms = 60;
-  BenchResult r = RunBohmBench(
-      engine,
-      [&](uint32_t tid) {
-        auto rng = std::make_shared<Rng>(tid);
-        return [rng]() -> ProcedurePtr {
-          return std::make_unique<IncrementProcedure>(0, rng->Uniform(64));
-        };
-      },
-      2, opt);
-  ASSERT_GT(r.commits, 0u);
-  EXPECT_EQ(r.latency_us.count(), r.commits);
-  EXPECT_GT(engine.Stats().commits, r.commits);
-  engine.Stop();
-}
-
-TEST(DriverTest, BohmRepeatedCountWindowsExact) {
-  // Back-to-back fixed-count runs on one engine: each window's commit and
-  // histogram counts are exact despite the monotonically growing
-  // engine-side counters.
-  BohmConfig cfg;
-  cfg.batch_size = 16;
-  BohmEngine engine(OneTable(64), cfg);
-  uint64_t zero = 0;
-  for (Key k = 0; k < 64; ++k) ASSERT_TRUE(engine.Load(0, k, &zero).ok());
-  ASSERT_TRUE(engine.Start().ok());
-  auto maker = [&](uint32_t tid) {
-    auto rng = std::make_shared<Rng>(tid);
+TxnSourceMaker IncrementMaker() {
+  return [](uint32_t client) {
+    auto rng = std::make_shared<Rng>(client);
     return [rng]() -> ProcedurePtr {
       return std::make_unique<IncrementProcedure>(0, rng->Uniform(64));
     };
   };
+}
+
+// Every case runs on all five engines through the one driver: a started
+// engine with two worker threads over a 64-key table.
+class DriverTest : public ::testing::TestWithParam<EngineKind> {
+ protected:
+  void SetUp() override {
+    engine_ = MakeEngine(GetParam(), OneTable(64), 2);
+    uint64_t zero = 0;
+    for (Key k = 0; k < 64; ++k) ASSERT_TRUE(engine_->Load(0, k, &zero).ok());
+    ASSERT_TRUE(engine_->Start().ok());
+  }
+
+  std::unique_ptr<Engine> engine_;
+};
+
+TEST_P(DriverTest, CountRunsExactly) {
+  BenchResult r = RunCount(*engine_, IncrementMaker(), 201);
+  EXPECT_EQ(r.commits, 201u);
+  EXPECT_EQ(r.latency_us.count(), 201u);
+  EXPECT_GT(r.seconds, 0.0);
+  EXPECT_GT(r.Throughput(), 0.0);
+}
+
+TEST_P(DriverTest, TimedWindowCommitsSomething) {
+  DriverOptions opt;
+  opt.warmup_ms = 10;
+  opt.measure_ms = 50;
+  BenchResult r = RunBench(*engine_, IncrementMaker(), opt);
+  EXPECT_GT(r.commits, 0u);
+  // The window spans the measurement sleep plus the closing drain.
+  EXPECT_GE(r.seconds, 0.05);
+}
+
+TEST_P(DriverTest, WarmupExcludedFromWindow) {
+  // Both window edges are quiesced (clients parked, engine drained), so
+  // the histogram delta covers exactly the window's commits — no warmup
+  // leakage in either direction.
+  DriverOptions opt;
+  opt.warmup_ms = 30;
+  opt.measure_ms = 60;
+  BenchResult r = RunBench(*engine_, IncrementMaker(), opt);
+  ASSERT_GT(r.commits, 0u);
+  EXPECT_EQ(r.latency_us.count(), r.commits);
+  // Warmup ran for a comparable duration, so the engine's lifetime commit
+  // total strictly exceeds the window's.
+  EXPECT_GT(engine_->Stats().commits, r.commits);
+}
+
+TEST_P(DriverTest, RepeatedCountWindowsExact) {
+  // Back-to-back fixed-count runs on one engine: each window's commit and
+  // histogram counts are exact despite the monotonically growing
+  // engine-side counters.
   for (int round = 0; round < 3; ++round) {
-    BenchResult r = RunBohmCount(engine, maker, 200);
+    BenchResult r = RunCount(*engine_, IncrementMaker(), 200);
     EXPECT_EQ(r.commits, 200u) << "round " << round;
     EXPECT_EQ(r.latency_us.count(), 200u) << "round " << round;
   }
-  EXPECT_EQ(engine.Stats().commits, 600u);
-  engine.Stop();
+  EXPECT_EQ(engine_->Stats().commits, 600u);
 }
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, DriverTest,
+                         ::testing::ValuesIn(kAllEngines),
+                         [](const auto& param_info) {
+                           return std::string(EngineKindName(param_info.param));
+                         });
 
 TEST(SweepTest, BohmSplitCoversCases) {
   BohmConfig c1 = BohmSplit(1);
@@ -229,11 +139,9 @@ TEST(ReportTest, BenchResultMath) {
 
 TEST(EngineFactoryTest, NamesMatch) {
   Catalog c = OneTable(4);
-  EXPECT_STREQ(MakeExecutorEngine(EngineKind::k2PL, c, 1)->name(), "2PL");
-  EXPECT_STREQ(MakeExecutorEngine(EngineKind::kOCC, c, 1)->name(), "OCC");
-  EXPECT_STREQ(MakeExecutorEngine(EngineKind::kSI, c, 1)->name(), "SI");
-  EXPECT_STREQ(MakeExecutorEngine(EngineKind::kHekaton, c, 1)->name(),
-               "Hekaton");
+  for (EngineKind kind : kAllEngines) {
+    EXPECT_STREQ(MakeEngine(kind, c, 1)->name(), EngineKindName(kind));
+  }
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "common/affinity.h"
-#include "common/barrier.h"
 #include "common/spin.h"
+#include "common/watermark.h"
 
 namespace bohm {
 namespace {
