@@ -4,11 +4,11 @@
 // instrument for OLTP latency profiles.
 //
 // Two variants share the bucket geometry:
-//  * Histogram — not thread-safe; each worker owns one and they are
-//    merged after the run (the executor drivers' on-thread latency).
+//  * Histogram — not thread-safe; the plain value that folds, snapshots
+//    and window deltas (StatsSnapshot, BenchResult) are made of.
 //  * AtomicHistogram — single-writer, concurrently foldable; lives in the
-//    per-thread StatsRegistry slices so the Bohm execution threads can
-//    record submit→commit latency while monitors snapshot mid-run.
+//    per-thread StatsRegistry slices so every engine's committing threads
+//    record commit latency while monitors snapshot mid-run.
 #pragma once
 
 #include <array>

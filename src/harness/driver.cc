@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -73,8 +75,16 @@ class Clients {
             continue;
           }
           // Bohm's Submit blocks (yielding) while its input queue is full,
-          // which is the closed loop's back-pressure.
-          if (!engine.Submit(source(), c).ok()) break;
+          // which is the closed loop's back-pressure. A rejection (a closed
+          // or degraded engine, a client beyond an executor's worker slots)
+          // means a broken configuration: abort rather than report a short
+          // window as a measurement.
+          Status st = engine.Submit(source(), c);
+          if (!st.ok()) {
+            std::fprintf(stderr, "driver: %s: submit rejected: %s\n",
+                         engine.name(), st.ToString().c_str());
+            std::abort();
+          }
           ++done;
         }
         alive_.fetch_sub(1, std::memory_order_acq_rel);

@@ -10,7 +10,9 @@
 // drains whatever is in flight, and only then are the engine's counters
 // snapshotted. A window is the difference of two such snapshots, so its
 // commit count, latency histogram and wall clock cover exactly the same
-// transactions.
+// transactions. If the engine rejects a client's Submit, both runners
+// abort the process naming the engine: a short run must not pass as a
+// measurement.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +34,8 @@ struct DriverOptions {
   uint32_t warmup_ms = 100;
   uint32_t measure_ms = 300;
   /// Client threads; 0 means the engine's default_clients(). An executor
-  /// engine accepts at most one client per worker slot.
+  /// engine accepts at most one client per worker slot: it rejects the
+  /// extra clients' submissions, which aborts the run.
   uint32_t clients = 0;
 };
 

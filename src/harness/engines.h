@@ -2,6 +2,8 @@
 // the figure benchmarks can sweep "system" as a parameter.
 #pragma once
 
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 
 #include "bohm/engine.h"
@@ -32,8 +34,8 @@ inline const char* EngineKindName(EngineKind kind) {
   return "?";
 }
 
-/// One of the four executor engines with `threads` worker slots (nullptr
-/// for kBohm, which is not an executor engine).
+/// One of the four executor engines with `threads` worker slots. kBohm is
+/// not an executor engine: asking for it aborts (use MakeEngine).
 inline std::unique_ptr<ExecutorEngine> MakeExecutorEngine(
     EngineKind kind, const Catalog& catalog, uint32_t threads) {
   switch (kind) {
@@ -62,7 +64,9 @@ inline std::unique_ptr<ExecutorEngine> MakeExecutorEngine(
     case EngineKind::kBohm:
       break;
   }
-  return nullptr;
+  std::fprintf(stderr, "MakeExecutorEngine: %s is not an executor engine\n",
+               EngineKindName(kind));
+  std::abort();
 }
 
 /// Any of the five engines with `threads` worker threads; Bohm splits

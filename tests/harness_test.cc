@@ -51,8 +51,13 @@ TEST_P(DriverTest, TimedWindowCommitsSomething) {
   opt.measure_ms = 50;
   BenchResult r = RunBench(*engine_, IncrementMaker(), opt);
   EXPECT_GT(r.commits, 0u);
-  // The window spans the measurement sleep plus the closing drain.
+  // The window spans the measurement sleep plus the closing drain: at
+  // most one transaction per client for an executor engine (the old
+  // 0.1 s bound), up to a full input queue for Bohm (~30 ms under TSan,
+  // given 10x headroom for a loaded host).
+  const double drain_s = GetParam() == EngineKind::kBohm ? 0.3 : 0.05;
   EXPECT_GE(r.seconds, 0.05);
+  EXPECT_LE(r.seconds, 0.05 + drain_s);
 }
 
 TEST_P(DriverTest, WarmupExcludedFromWindow) {
@@ -87,6 +92,27 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, DriverTest,
                          [](const auto& param_info) {
                            return std::string(EngineKindName(param_info.param));
                          });
+
+// A run the driver cannot measure aborts instead of reporting a short or
+// lower-concurrency window.
+TEST(DriverDeathTest, ClientsBeyondWorkerSlotsAbort) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  auto engine = MakeEngine(EngineKind::kOCC, OneTable(64), 2);
+  uint64_t zero = 0;
+  for (Key k = 0; k < 64; ++k) ASSERT_TRUE(engine->Load(0, k, &zero).ok());
+  DriverOptions opt;
+  opt.clients = 3;
+  EXPECT_DEATH(RunBench(*engine, IncrementMaker(), opt),
+               "OCC: submit rejected: .*bad thread id");
+}
+
+TEST(DriverDeathTest, RejectedSubmitAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  // Never started, so Bohm rejects every Submit.
+  auto engine = MakeEngine(EngineKind::kBohm, OneTable(64), 2);
+  EXPECT_DEATH(RunCount(*engine, IncrementMaker(), 10),
+               "Bohm: submit rejected");
+}
 
 TEST(SweepTest, BohmSplitCoversCases) {
   BohmConfig c1 = BohmSplit(1);
@@ -142,6 +168,12 @@ TEST(EngineFactoryTest, NamesMatch) {
   for (EngineKind kind : kAllEngines) {
     EXPECT_STREQ(MakeEngine(kind, c, 1)->name(), EngineKindName(kind));
   }
+}
+
+TEST(EngineFactoryDeathTest, BohmIsNotAnExecutorEngine) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(MakeExecutorEngine(EngineKind::kBohm, OneTable(4), 1),
+               "Bohm is not an executor engine");
 }
 
 }  // namespace
