@@ -15,7 +15,6 @@
 // this stage (the barrier this replaces parked every CC thread once per
 // batch).
 
-#include "common/spin.h"
 #include "bohm/engine.h"
 
 namespace bohm {
@@ -27,12 +26,12 @@ void BohmEngine::CcLoop(uint32_t cc_id) {
   for (;;) {
     int64_t b;
     if (!feed.TryPop(&b)) {
-      // Feed dry: wait for the sequencer to seal the next batch, charging
+      // Feed dry: park until the sequencer seals the next batch, charging
       // the wait to this stage's stall attribution. Shutdown: once the
       // sequencer is done (its done flag is release-stored after the last
       // feed push), a failed re-poll means the feed is drained for good.
+      // SealBatch and the done store both notify idle_ (rule R9).
       const uint64_t stall_start = MonotonicNanos();
-      SpinWait wait;
       for (;;) {
         if (feed.TryPop(&b)) break;
         if (sequencer_done_.load(std::memory_order_acquire)) {
@@ -40,7 +39,12 @@ void BohmEngine::CcLoop(uint32_t cc_id) {
           stall.ns.Inc(MonotonicNanos() - stall_start);
           return;
         }
-        wait.Pause();
+        idle_.Await(
+            [&] {
+              return !feed.Empty() ||
+                     sequencer_done_.load(std::memory_order_acquire);
+            },
+            [this] { return PipelineBusy(); });
       }
       stall.ns.Inc(MonotonicNanos() - stall_start);
     }
@@ -71,6 +75,7 @@ void BohmEngine::CcLoop(uint32_t cc_id) {
     // wrote into batch b before it, so an exec thread whose watermark
     // fold admits b observes them all (docs/CONCURRENCY.md rule R5).
     cc_watermark_.Advance(cc_id, b);
+    idle_.Notify();  // exec admission parks on the fold (rule R9)
   }
 }
 

@@ -91,7 +91,7 @@ BohmEngine::BohmEngine(const Catalog& catalog, BohmConfig cfg)
     opts.queue_capacity = NextPow2(cfg_.durability.writer_queue_capacity < 2
                                        ? 2
                                        : cfg_.durability.writer_queue_capacity);
-    log_writer_ = std::make_unique<LogWriter>(log_.get(), opts);
+    log_writer_ = std::make_unique<LogWriter>(log_.get(), opts, &idle_);
   }
 }
 
@@ -208,10 +208,10 @@ void BohmEngine::Stop() {
   bool expected = false;
   if (!stopping_.compare_exchange_strong(expected, true)) {
     // Another caller is already stopping; wait for the joins to finish.
-    SpinWait wait;
-    while (!stopped_.load(std::memory_order_acquire)) wait.Pause();
+    idle_.Await([this] { return stopped_.load(std::memory_order_acquire); });
     return;
   }
+  idle_.Notify();  // an idle sequencer parks until stopping_ is set
   for (auto& t : threads_) t.join();
   threads_.clear();
   // The sequencer (the writer's only producer) has joined, so the ring
@@ -220,6 +220,7 @@ void BohmEngine::Stop() {
   // durable log even with unflushed group-commit buffers.
   if (log_writer_ != nullptr) log_writer_->Stop();
   stopped_.store(true, std::memory_order_release);
+  idle_.Notify();
 }
 
 // Graceful rejection, never a crash: a transaction the engine cannot take
@@ -284,6 +285,7 @@ Status BohmEngine::Submit(ProcedurePtr proc) {
   BOHM_RETURN_NOT_OK(CheckSubmit(proc.get()));
   submitted_.fetch_add(1, std::memory_order_acq_rel);
   input_.Push(InputItem{proc.release(), /*owned=*/true, MonotonicNanos()});
+  idle_.Notify();
   return Status::OK();
 }
 
@@ -291,6 +293,7 @@ Status BohmEngine::SubmitBorrowed(StoredProcedure* proc) {
   BOHM_RETURN_NOT_OK(CheckSubmit(proc));
   submitted_.fetch_add(1, std::memory_order_acq_rel);
   input_.Push(InputItem{proc, /*owned=*/false, MonotonicNanos()});
+  idle_.Notify();
   return Status::OK();
 }
 
@@ -302,11 +305,12 @@ Status BohmEngine::RunSync(ProcedurePtr proc) {
 
 uint64_t BohmEngine::CompletedCount() const { return stats_.FoldCompleted(); }
 
+// Every completion happens before the exec watermark advance of its
+// batch, which notifies idle_.
 void BohmEngine::WaitForIdle() {
-  SpinWait wait;
-  while (CompletedCount() < submitted_.load(std::memory_order_acquire)) {
-    wait.Pause();
-  }
+  idle_.Await([this] {
+    return CompletedCount() >= submitted_.load(std::memory_order_acquire);
+  });
 }
 
 int64_t BohmEngine::Watermark() const { return exec_watermark_.Min(); }
@@ -375,13 +379,19 @@ Status BohmEngine::Recover() {
   }
   WaitForIdle();
   batches.clear();
+  // Every transaction has completed, but an exec thread whose peers ran
+  // its stripe may not have passed the last replayed batch yet. Turning
+  // the durable-ack gate back on before it does would gate a replayed
+  // batch on a seqno that is never logged again, and that thread would
+  // wait forever. Exec watermark advances notify idle_.
+  const int64_t sealed = last_sealed_batch();
+  idle_.Await([this, sealed] { return Watermark() >= sealed; });
 
   // Deterministic replay note: recovery re-*sequences* rather than
   // re-using the old batch boundaries, which is legal precisely because
   // the replay above preserved the total order — only the (seqno, batch
   // id) correspondence moved. Re-anchor it: the next sealed batch
   // (last_sealed_batch + 1) must get seqno last_seqno + 1.
-  const int64_t sealed = last_sealed_batch();
   const uint64_t last_seqno = recovery_stats_.last_seqno;
   log_base_ = last_seqno + 1 - static_cast<uint64_t>(sealed + 1);
   replaying_.store(false, std::memory_order_release);

@@ -23,8 +23,10 @@
 //
 // Handoff between stages is wait-free on the hot path: the sequencer
 // announces sealed batch ids through per-consumer SPSC feed rings, and
-// the only inter-stage waits are bounded spins on watermark folds (with
-// yielding back-off under oversubscription).
+// stages wait for each other only on feeds and watermark folds. Every
+// such idle wait spins briefly and then parks on one engine-wide
+// IdleEvent, which every publication notifies (docs/CONCURRENCY.md rule
+// R9), so an idle engine costs no CPU.
 //
 // Reads never block writes; writes may block reads (only on placeholder
 // data not yet produced). No global timestamp counter, no lock manager, no
@@ -42,6 +44,7 @@
 
 #include "common/macros.h"
 #include "common/queue.h"
+#include "common/spin.h"
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/watermark.h"
@@ -331,6 +334,10 @@ class BohmEngine final : public Engine {
   /// Raises this thread's exec_pin_ slot to the current Watermark()
   /// (exec thread only, never while it holds a producer pointer).
   void RefreshExecPin(uint32_t exec_id);
+  /// Idle wait of exec thread `exec_id` until `ready()` holds, keeping
+  /// its pin fresh while parked (rule R9); `busy` as in IdleEvent::Await.
+  template <typename Pred, typename Busy>
+  void ExecAwait(uint32_t exec_id, Pred ready, Busy busy);
   bool TryExecute(uint32_t exec_id, BohmTxn* txn, uint32_t depth);
   bool EnsureReady(uint32_t exec_id, Version* v, uint32_t depth);
   Version* ResolveRead(ReadRef& ref, uint64_t ts) const;
@@ -341,6 +348,12 @@ class BohmEngine final : public Engine {
   void RetireVersion(uint32_t cc_id, Version* v, int64_t batch_id);
 
   uint64_t CompletedCount() const;
+  /// True while some sealed batch is not yet executed by every exec
+  /// thread: a pipeline wait is then back-pressure and spins rather than
+  /// parks (rule R9). Reads only words written once per batch; a fold of
+  /// the per-transaction commit counters would bounce the exec threads'
+  /// cache lines on every poll.
+  bool PipelineBusy() const { return last_sealed_batch() > Watermark(); }
 
   struct InputItem {
     StoredProcedure* proc = nullptr;
@@ -369,6 +382,13 @@ class BohmEngine final : public Engine {
   /// batch <= a thread's pin is reachable from it. Slot reuse gates on
   /// Min().
   WatermarkSet exec_pin_;
+  /// The one event every idle wait of the pipeline (sequencer, CC, exec,
+  /// log writer, WaitForIdle, a second Stop) parks on, and every
+  /// publication those waits watch notifies (rule R9). One shared word,
+  /// not one per stage: a submit after an idle gap wakes sequencer, CC
+  /// and exec together, so their wake latencies overlap instead of adding
+  /// up along the pipeline.
+  IdleEvent idle_;
   /// Sealed-batch feed rings, one SPSC pair per consumer thread
   /// (sequencer is the sole producer). Capacity >= pipeline depth, so a
   /// push can never fail: at most `depth` sealed batches are un-consumed

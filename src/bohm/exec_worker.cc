@@ -59,6 +59,22 @@ class BohmOps final : public TxnOps {
   bool aborted_ = false;
 };
 
+// Rule R9: an exec thread parks with its pin fresh, and wakes whenever
+// the exec watermark passes its pin, to refresh it. A thread parked with
+// a stale pin would hold the sequencer's slot-reuse gate (rule R8) while
+// nothing woke it; once exec_threads > 1 the pipeline would deadlock.
+// Every exec watermark advance notifies idle_.
+template <typename Pred, typename Busy>
+void BohmEngine::ExecAwait(uint32_t exec_id, Pred ready, Busy busy) {
+  for (;;) {
+    RefreshExecPin(exec_id);
+    if (ready()) return;
+    idle_.Await(
+        [&] { return ready() || Watermark() > exec_pin_.Get(exec_id); },
+        busy);
+  }
+}
+
 void BohmEngine::ExecLoop(uint32_t exec_id) {
   SpscQueue<int64_t>& feed = *exec_feed_[exec_id];
   StallSlot& stall = *exec_stall_[exec_id];
@@ -69,7 +85,6 @@ void BohmEngine::ExecLoop(uint32_t exec_id) {
     int64_t b;
     if (!feed.TryPop(&b)) {
       const uint64_t stall_start = MonotonicNanos();
-      SpinWait wait;
       for (;;) {
         if (feed.TryPop(&b)) break;
         if (sequencer_done_.load(std::memory_order_acquire)) {
@@ -77,8 +92,13 @@ void BohmEngine::ExecLoop(uint32_t exec_id) {
           stall.ns.Inc(MonotonicNanos() - stall_start);
           return;
         }
-        RefreshExecPin(exec_id);
-        wait.Pause();
+        ExecAwait(
+            exec_id,
+            [&] {
+              return !feed.Empty() ||
+                     sequencer_done_.load(std::memory_order_acquire);
+            },
+            [this] { return PipelineBusy(); });
       }
       stall.ns.Inc(MonotonicNanos() - stall_start);
     }
@@ -92,11 +112,9 @@ void BohmEngine::ExecLoop(uint32_t exec_id) {
     // watermarks always reach b eventually.
     if (cc_watermark_.Min() < b) {
       const uint64_t stall_start = MonotonicNanos();
-      SpinWait wait;
-      while (cc_watermark_.Min() < b) {
-        RefreshExecPin(exec_id);
-        wait.Pause();
-      }
+      ExecAwait(
+          exec_id, [&] { return cc_watermark_.Min() >= b; },
+          [this] { return PipelineBusy(); });
       stall.ns.Inc(MonotonicNanos() - stall_start);
     }
 
@@ -112,12 +130,15 @@ void BohmEngine::ExecLoop(uint32_t exec_id) {
       const uint64_t need = log_base_ + static_cast<uint64_t>(b);
       if (log_writer_->durable_seqno() < need && !log_writer_->failed()) {
         const uint64_t stall_start = MonotonicNanos();
-        SpinWait wait;
-        while (log_writer_->durable_seqno() < need &&
-               !log_writer_->failed()) {
-          RefreshExecPin(exec_id);
-          wait.Pause();
-        }
+        // The writer notifies idle_ after every durable advance and on
+        // failure. An fsync is I/O, not a stage at work: park through it.
+        ExecAwait(
+            exec_id,
+            [&] {
+              return log_writer_->durable_seqno() >= need ||
+                     log_writer_->failed();
+            },
+            [] { return false; });
         exec_log_stall_[exec_id]->ns.Inc(MonotonicNanos() - stall_start);
       }
     }
@@ -127,8 +148,8 @@ void BohmEngine::ExecLoop(uint32_t exec_id) {
       hooks->exec_batch_start(exec_id, b);
     }
     // Between batches this thread holds no producer pointer (rule R8).
-    // Every wait above refreshes the pin too, so the slot-reuse gate
-    // never waits on an idle thread.
+    // Every wait above refreshes the pin too (ExecAwait), so the
+    // slot-reuse gate never waits on an idle thread.
     RefreshExecPin(exec_id);
 
     // Stripe: this thread is responsible for transactions exec_id,
@@ -153,6 +174,9 @@ void BohmEngine::ExecLoop(uint32_t exec_id) {
       hooks->exec_batch_end(exec_id, b);
     }
     exec_watermark_.Advance(exec_id, b);
+    // Wakes peers whose pin fell behind, the slot-reuse gate and
+    // WaitForIdle (rule R9).
+    idle_.Notify();
   }
 }
 
@@ -166,7 +190,10 @@ void BohmEngine::ExecLoop(uint32_t exec_id) {
 // above the pin.
 void BohmEngine::RefreshExecPin(uint32_t exec_id) {
   const int64_t w = Watermark();
-  if (w > exec_pin_.Get(exec_id)) exec_pin_.Advance(exec_id, w);
+  if (w > exec_pin_.Get(exec_id)) {
+    exec_pin_.Advance(exec_id, w);
+    idle_.Notify();  // the sequencer's slot-reuse gate parks on the pins
+  }
 }
 
 Version* BohmEngine::ResolveRead(ReadRef& ref, uint64_t ts) const {

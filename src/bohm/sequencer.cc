@@ -77,6 +77,7 @@ void BohmEngine::SealBatch(Batch* batch, int64_t id) {
     (void)pushed;
   }
   last_sealed_batch_.store(id, std::memory_order_release);
+  idle_.Notify();  // CC and exec threads park on empty feeds (rule R9)
 }
 
 // Thread-safety: `next_batch_id_` and `next_ts_` are plain fields written
@@ -85,7 +86,6 @@ void BohmEngine::SealBatch(Batch* batch, int64_t id) {
 // through SealBatch's release stores, which order everything the
 // sequencer wrote into the batch before them.
 void BohmEngine::SequencerLoop() {
-  SpinWait wait;
   for (;;) {
     const int64_t id = next_batch_id_;
     // Back-pressure: slot (id mod depth) is reusable only once no
@@ -93,13 +93,14 @@ void BohmEngine::SequencerLoop() {
     // (batch id - depth): every exec pin has passed it (rule R8), which
     // implies every execution thread has also finished it. This is the
     // only place the sequencer waits on downstream progress; the time
-    // spent here is the sequencer's stall attribution.
+    // spent here is the sequencer's stall attribution. Pins advance only
+    // in RefreshExecPin, which notifies idle_.
     Batch* batch = ring_.Slot(id);
     const int64_t prev_occupant = id - static_cast<int64_t>(ring_.depth());
     if (exec_pin_.Min() < prev_occupant) {
       const uint64_t stall_start = MonotonicNanos();
-      wait.Reset();
-      while (exec_pin_.Min() < prev_occupant) wait.Pause();
+      idle_.Await([&] { return exec_pin_.Min() >= prev_occupant; },
+                  [this] { return PipelineBusy(); });
       seq_stall_.ns.Inc(MonotonicNanos() - stall_start);
     }
     batch->ResetForReuse();
@@ -108,11 +109,9 @@ void BohmEngine::SequencerLoop() {
     // trickle of transactions does not wait for a full batch.
     const uint32_t* owners = nullptr;
     bool stop_after = false;
-    wait.Reset();
     while (batch->txns.size() < cfg_.batch_size) {
       InputItem item;
       if (input_.TryPop(&item)) {
-        wait.Reset();
         if (owners == nullptr) {
           // Partition routing (rule R7) waits for the batch's first
           // transaction, so an idle sequencer consults the promotion gate
@@ -180,7 +179,13 @@ void BohmEngine::SequencerLoop() {
         stop_after = true;
         break;
       }
-      wait.Pause();
+      // Submit and Stop notify idle_ after their publication.
+      idle_.Await(
+          [this] {
+            return !input_.Empty() ||
+                   stopping_.load(std::memory_order_acquire);
+          },
+          [this] { return PipelineBusy(); });
     }
 
     if (!batch->txns.empty()) {
@@ -190,6 +195,7 @@ void BohmEngine::SequencerLoop() {
     if (stop_after) break;
   }
   sequencer_done_.store(true, std::memory_order_release);
+  idle_.Notify();
 }
 
 }  // namespace bohm

@@ -95,6 +95,16 @@ class MpmcQueue {
     return true;
   }
 
+  /// Emptiness probe: false once the cell at the head has been published
+  /// (exact from a sole consumer thread; advisory with several).
+  bool Empty() const {
+    // relaxed: head_ is only a claim ticket (see TryPop); the cell's
+    // sequence acquire carries the ordering.
+    const size_t pos = head_.load(std::memory_order_relaxed);
+    return cells_[pos & mask_].sequence.load(std::memory_order_acquire) !=
+           pos + 1;
+  }
+
   /// Blocking push with yielding back-off.
   void Push(T value) {
     SpinWait wait;

@@ -1,9 +1,19 @@
 #include "log/log_writer.h"
 
-#include "common/spin.h"
+#include <algorithm>
+#include <chrono>
+
 #include "common/stats.h"
 
 namespace bohm {
+
+namespace {
+
+/// Longest sleep of the kInterval timed poll while records await their
+/// fsync deadline; bounds how long a full ring can hold up Append.
+constexpr uint64_t kIntervalPollNanos = 50'000;
+
+}  // namespace
 
 const char* FsyncPolicyName(FsyncPolicy policy) {
   switch (policy) {
@@ -19,8 +29,9 @@ const char* FsyncPolicyName(FsyncPolicy policy) {
   return "unknown";
 }
 
-LogWriter::LogWriter(BatchLog* log, const LogWriterOptions& opts)
-    : log_(log), opts_(opts), queue_(opts.queue_capacity) {}
+LogWriter::LogWriter(BatchLog* log, const LogWriterOptions& opts,
+                     IdleEvent* idle)
+    : log_(log), opts_(opts), idle_(idle), queue_(opts.queue_capacity) {}
 
 LogWriter::~LogWriter() {
   if (thread_.joinable()) Stop();
@@ -32,6 +43,7 @@ void LogWriter::Start() {
 
 void LogWriter::Stop() {
   stop_.store(true, std::memory_order_release);
+  idle_->Notify();
   if (thread_.joinable()) thread_.join();
 }
 
@@ -42,18 +54,19 @@ uint64_t LogWriter::Append(uint64_t seqno, std::string payload) {
   if (failed_.load(std::memory_order_relaxed)) return 0;
   if (!queue_.Full()) {
     (void)queue_.TryPush(Pending{seqno, std::move(payload)});
+    idle_->Notify();
     return 0;
   }
   const uint64_t t0 = MonotonicNanos();
-  SpinWait wait;
-  while (queue_.Full()) {
-    // relaxed: advisory, as above — escape hatch so the spin can't wedge.
-    if (failed_.load(std::memory_order_relaxed)) {
-      return MonotonicNanos() - t0;  // discard: the log is dead anyway
-    }
-    wait.Pause();
+  // The writer notifies after every pop and on failure.
+  idle_->Await([this] {
+    return !queue_.Full() || failed_.load(std::memory_order_acquire);
+  });
+  if (queue_.Full()) {
+    return MonotonicNanos() - t0;  // discard: the log is dead anyway
   }
   (void)queue_.TryPush(Pending{seqno, std::move(payload)});
+  idle_->Notify();
   return MonotonicNanos() - t0;
 }
 
@@ -66,6 +79,7 @@ Status LogWriter::error() const {
 void LogWriter::Fail(Status st) {
   error_ = std::move(st);
   failed_.store(true, std::memory_order_release);
+  idle_->Notify();  // wakes a full-ring Append and the durable-ack gate
 }
 
 bool LogWriter::SyncThrough(uint64_t through_seqno) {
@@ -75,6 +89,7 @@ bool LogWriter::SyncThrough(uint64_t through_seqno) {
     return false;
   }
   durable_seqno_.store(through_seqno, std::memory_order_release);
+  idle_->Notify();  // the durable-ack gate parks on the watermark
   PublishCounters();
   return true;
 }
@@ -87,7 +102,6 @@ void LogWriter::PublishCounters() {
 }
 
 void LogWriter::WriterLoop() {
-  SpinWait wait;
   uint64_t unsynced = 0;  // records appended since the last durability point
   uint64_t last_appended = 0;
   uint64_t last_sync_ns = MonotonicNanos();
@@ -102,7 +116,7 @@ void LogWriter::WriterLoop() {
   for (;;) {
     Pending p;
     if (queue_.TryPop(&p)) {
-      wait.Reset();
+      idle_->Notify();  // a full-ring Append parks until a pop
       // relaxed: failed_ is only ever set by this thread (Fail below).
       if (failed_.load(std::memory_order_relaxed)) {
         continue;  // drain-and-discard: never wedge the sequencer
@@ -119,6 +133,7 @@ void LogWriter::WriterLoop() {
         case FsyncPolicy::kNone:
           // Durability point is the kernel handoff itself.
           durable_seqno_.store(p.seqno, std::memory_order_release);
+          idle_->Notify();
           unsynced = 0;
           break;
         case FsyncPolicy::kBatch:
@@ -138,21 +153,31 @@ void LogWriter::WriterLoop() {
 
     // Ring is dry. Group commit syncs whatever accumulated (an idle
     // pipeline must not leave acknowledged-later batches hanging);
-    // interval syncs when its clock expires. (relaxed: failed_ is
-    // written only by this thread.)
+    // interval syncs when its clock expires and polls the ring in short
+    // sleeps until then. (relaxed: failed_ is written only by this
+    // thread.)
     if (unsynced > 0 && !failed_.load(std::memory_order_relaxed)) {
       if (opts_.policy == FsyncPolicy::kGroup) {
         sync_now();
         continue;
       }
-      if (opts_.policy == FsyncPolicy::kInterval &&
-          MonotonicNanos() - last_sync_ns >= opts_.interval_us * 1000) {
-        sync_now();
+      if (opts_.policy == FsyncPolicy::kInterval) {
+        const uint64_t due = last_sync_ns + opts_.interval_us * 1000;
+        const uint64_t now = MonotonicNanos();
+        if (now >= due) {
+          sync_now();
+        } else {
+          std::this_thread::sleep_for(std::chrono::nanoseconds(
+              std::min(due - now, kIntervalPollNanos)));
+        }
         continue;
       }
     }
     if (stop_.load(std::memory_order_acquire) && queue_.Empty()) break;
-    wait.Pause();
+    // Nothing pending: park until Append pushes or Stop is called.
+    idle_->Await([this] {
+      return !queue_.Empty() || stop_.load(std::memory_order_acquire);
+    });
   }
 
   // relaxed: failed_ is written only by this thread.
@@ -163,6 +188,7 @@ void LogWriter::WriterLoop() {
     if (st.ok()) {
       if (last_appended != 0) {
         durable_seqno_.store(last_appended, std::memory_order_release);
+        idle_->Notify();
       }
     } else {
       Fail(std::move(st));

@@ -15,6 +15,10 @@
 // On an I/O error the writer trips `failed()` and switches to drain-and-
 // discard: the ring keeps emptying (so the sequencer never wedges), the
 // watermark freezes, and the engine degrades to rejecting new submits.
+//
+// Idle waits on both sides park on the engine's IdleEvent
+// (docs/CONCURRENCY.md rule R9): the writer notifies it after every pop,
+// durable advance and failure; Append notifies it after every push.
 #pragma once
 
 #include <atomic>
@@ -24,6 +28,7 @@
 
 #include "common/macros.h"
 #include "common/queue.h"
+#include "common/spin.h"
 #include "common/status.h"
 #include "log/batch_log.h"
 
@@ -48,7 +53,8 @@ struct LogWriterOptions {
 
 class LogWriter {
  public:
-  LogWriter(BatchLog* log, const LogWriterOptions& opts);
+  /// `idle` is the event both sides park on; it must outlive the writer.
+  LogWriter(BatchLog* log, const LogWriterOptions& opts, IdleEvent* idle);
   BOHM_DISALLOW_COPY_AND_ASSIGN(LogWriter);
   ~LogWriter();
 
@@ -58,7 +64,7 @@ class LogWriter {
   /// policies — a clean shutdown leaves a fully durable log), and joins.
   void Stop();
 
-  /// Producer side; sequencer thread only. Blocks (spin-then-yield) while
+  /// Producer side; sequencer thread only. Blocks (spin-then-park) while
   /// the ring is full — that wait is the log back-pressure and is
   /// returned in nanoseconds for stall attribution. After a writer
   /// failure the payload is discarded immediately (the caller checks
@@ -103,6 +109,7 @@ class LogWriter {
 
   BatchLog* log_;
   LogWriterOptions opts_;
+  IdleEvent* idle_;
   SpscQueue<Pending> queue_;
   std::thread thread_;
   std::atomic<bool> stop_{false};

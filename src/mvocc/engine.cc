@@ -155,24 +155,23 @@ MVVersion* MVOccEngine::VisibleVersion(MVRecordSlot* slot, MVTxn* txn) {
       if (tb == txn) return v;  // own write: newest, end == infinity
       switch (tb->State()) {
         case MVTxnState::kCommitted:
-          effective_begin = tb->end_ts.load(std::memory_order_acquire);
+          effective_begin = tb->EndTs();
           break;
         case MVTxnState::kPreparing: {
-          uint64_t tb_end = tb->end_ts.load(std::memory_order_acquire);
-          if (cfg_.commit_dependencies && tb_end < B) {
-            // Speculatively read the uncommitted version under a commit
-            // dependency; if tb later aborts, so do we (cascade).
-            if (tb->TryRegisterDependent(txn)) {
-              effective_begin = tb_end;
-              break;
-            }
-            // Registration raced with tb finishing: resolve by state.
-            if (tb->State() == MVTxnState::kCommitted) {
-              effective_begin = tb->end_ts.load(std::memory_order_acquire);
-              break;
-            }
+          const uint64_t tb_end = tb->EndTs();
+          if (tb_end > B) continue;  // born after our snapshot either way
+          // Visible exactly if tb commits. Speculatively read it under a
+          // commit dependency (if tb later aborts, so do we); without
+          // one, or when tb finished meanwhile, wait for the outcome.
+          // Skipping to the older version instead would let a later
+          // write of ours overwrite tb's committed one unseen.
+          if (cfg_.commit_dependencies && tb->TryRegisterDependent(txn)) {
+            effective_begin = tb_end;
+            break;
           }
-          continue;  // not visible (or tb aborted): try the older version
+          if (tb->AwaitOutcome() != MVTxnState::kCommitted) continue;
+          effective_begin = tb_end;
+          break;
         }
         case MVTxnState::kActive:
         case MVTxnState::kAborted:
@@ -191,21 +190,17 @@ MVVersion* MVOccEngine::VisibleVersion(MVRecordSlot* slot, MVTxn* txn) {
       if (te == txn) continue;  // we superseded it; our new version wins
       switch (te->State()) {
         case MVTxnState::kCommitted:
-          if (te->end_ts.load(std::memory_order_acquire) <= B) continue;
+          if (te->EndTs() <= B) continue;
           return v;
         case MVTxnState::kPreparing: {
-          uint64_t te_end = te->end_ts.load(std::memory_order_acquire);
-          if (te_end > B) return v;  // stays visible whether te commits or not
+          if (te->EndTs() > B) return v;  // visible whether te commits or not
           // te would invalidate this version before our snapshot; assume
-          // it commits (dependency), so the version is invisible.
+          // it commits (dependency), so the version is invisible. Without
+          // a dependency, or when te finished meanwhile, wait for it.
           if (cfg_.commit_dependencies && te->TryRegisterDependent(txn)) {
             continue;
           }
-          // Raced with te finishing: re-resolve by final state.
-          if (te->State() == MVTxnState::kCommitted &&
-              te->end_ts.load(std::memory_order_acquire) <= B) {
-            continue;
-          }
+          if (te->AwaitOutcome() == MVTxnState::kCommitted) continue;
           return v;
         }
         case MVTxnState::kActive:
@@ -252,9 +247,7 @@ MVVersion* MVOccEngine::InstallWrite(MVRecordSlot* slot, MVTxn* txn,
     // committed after our begin timestamp is a write-write conflict with a
     // committed concurrent transaction (first-committer-wins).
     uint64_t vb = v->begin.load(std::memory_order_acquire);
-    uint64_t effective_begin =
-        MVIsTxn(vb) ? MVTxnPtr(vb)->end_ts.load(std::memory_order_acquire)
-                    : vb;
+    uint64_t effective_begin = MVIsTxn(vb) ? MVTxnPtr(vb)->EndTs() : vb;
     if (effective_begin > txn->begin_ts) return nullptr;
     uint64_t expected = kMVInfinity;
     if (!v->end.compare_exchange_strong(expected, MVTagTxn(txn),
@@ -298,7 +291,7 @@ bool MVOccEngine::ValidateReads(MVTxn* txn) {
           continue;
         case MVTxnState::kPreparing:
         case MVTxnState::kCommitted:
-          if (te->end_ts.load(std::memory_order_acquire) > E) continue;
+          if (te->EndTs() > E) continue;
           return false;  // superseded within our lifetime: not repeatable
       }
     } else if (ve <= E) {
@@ -361,12 +354,18 @@ Status MVOccEngine::Execute(StoredProcedure& proc, uint32_t thread_id) {
       return Status::Aborted("transaction logic aborted");
     }
 
-    // Precommit: acquire the end timestamp (second global-counter
-    // increment), then enter Preparing.
-    txn->end_ts.store(clock_.fetch_add(1, std::memory_order_acq_rel),
-                      std::memory_order_release);
+    // Precommit: enter Preparing, then acquire the end timestamp (second
+    // global-counter increment). In this order every transaction whose
+    // begin timestamp is issued after ours sees us at least Preparing
+    // (the clock's acq_rel increments carry the state store). The
+    // reverse order leaves a window in which such a reader sees us
+    // Active, skips our version and reads the older one, and then
+    // overwrites our committed version (first-committer-wins accepts it,
+    // because our end timestamp precedes its begin): a lost update.
     txn->state.store(static_cast<uint32_t>(MVTxnState::kPreparing),
                      std::memory_order_release);
+    txn->end_ts.store(clock_.fetch_add(1, std::memory_order_acq_rel),
+                      std::memory_order_release);
 
     bool ok = cfg_.mode == MVOccMode::kHekaton ? ValidateReads(txn) : true;
     if (ok) ok = WaitForDependencies(txn);

@@ -30,7 +30,10 @@ class MVTxn {
 
   std::atomic<uint32_t> state{static_cast<uint32_t>(MVTxnState::kActive)};
   uint64_t begin_ts = 0;
-  /// Valid once state >= kPreparing (published before the state change).
+  /// 0 until set. The owner publishes kPreparing *before* it takes the end
+  /// timestamp from the clock, so every transaction that begins after the
+  /// end timestamp was issued sees this one as at least Preparing. Read it
+  /// through EndTs() once the state shows Preparing or later.
   std::atomic<uint64_t> end_ts{0};
 
   /// Outstanding commit dependencies this transaction waits on.
@@ -40,6 +43,31 @@ class MVTxn {
 
   MVTxnState State() const {
     return static_cast<MVTxnState>(state.load(std::memory_order_acquire));
+  }
+
+  /// The end timestamp of a transaction observed Preparing or later. The
+  /// owner sets it right after publishing kPreparing; a reader that gets
+  /// in between waits for it.
+  uint64_t EndTs() const {
+    SpinWait wait;
+    for (;;) {
+      const uint64_t e = end_ts.load(std::memory_order_acquire);
+      if (e != 0) return e;
+      wait.Pause();
+    }
+  }
+
+  /// Waits for a transaction observed Preparing to commit or abort.
+  /// Preparing transactions wait only on older Preparing ones (their
+  /// commit dependencies), never on an Active reader, so this cannot
+  /// deadlock.
+  MVTxnState AwaitOutcome() const {
+    SpinWait wait;
+    for (;;) {
+      const MVTxnState s = State();
+      if (s == MVTxnState::kCommitted || s == MVTxnState::kAborted) return s;
+      wait.Pause();
+    }
   }
 
   /// Registers `dependent` as waiting on this transaction's outcome.

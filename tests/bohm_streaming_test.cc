@@ -16,16 +16,27 @@
 //  (d) slot reuse waits for stale producer pointers — an exec thread
 //      frozen between seeing an unready read dependency and claiming its
 //      producer keeps the producer's batch slot from being recycled, even
-//      after every thread has finished that batch (rule R8).
+//      after every thread has finished that batch (rule R8);
+//  (e) idle stages park (rule R9) — an idle engine uses well under one
+//      core, and a pipeline whose stages park between bursts, with one
+//      exec thread always finishing last, still matches the serial oracle
+//      and survives recovery (an exec thread parked with a stale pin would
+//      deadlock the slot-reuse gate).
 //
-// All waits yield (SpinWait / std::this_thread::yield), so the suite is
-// deterministic on a single-core host too: a frozen thread blocks inside
-// its hook and everyone else keeps making progress.
+// The suite's own waits yield (std::this_thread::yield), and the engine's
+// waits park or yield, so the suite is deterministic on a single-core host
+// too: a frozen thread blocks inside its hook and everyone else keeps
+// making progress.
 #include <gtest/gtest.h>
+
+#include <time.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <thread>
 #include <tuple>
@@ -656,6 +667,167 @@ TEST(BohmStreamingTest, WatermarksAreMonotoneAndOrdered) {
       << "execution watermark overtook the CC watermark";
   engine.Stop();
 }
+
+// ---------------------------------------------------------------------------
+// (e) Idle stages park on the engine's IdleEvent (rule R9).
+// ---------------------------------------------------------------------------
+
+/// A fresh log directory under the system temp dir, removed on exit.
+class TempLogDir {
+ public:
+  explicit TempLogDir(const std::string& name)
+      : path_(std::filesystem::temp_directory_path() /
+              (name + "_" + std::to_string(reinterpret_cast<uintptr_t>(this)))) {
+    std::filesystem::remove_all(path_);
+  }
+  ~TempLogDir() { std::filesystem::remove_all(path_); }
+  std::string str() const { return path_.string(); }
+
+ private:
+  std::filesystem::path path_;
+};
+
+/// Two CC and two exec threads with the durable log on: every stage that
+/// can park (sequencer, CC, exec, log writer) is present.
+BohmConfig ParkingConfig(const std::string& dir, uint32_t depth) {
+  BohmConfig cfg;
+  cfg.cc_threads = 2;
+  cfg.exec_threads = 2;
+  cfg.batch_size = 4;
+  cfg.pipeline_depth = depth;
+  cfg.durability.enabled = true;
+  cfg.durability.dir = dir;
+  return cfg;
+}
+
+#if defined(__linux__)
+uint64_t ProcessCpuNanos() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<uint64_t>(ts.tv_sec) * 1000000000ull +
+         static_cast<uint64_t>(ts.tv_nsec);
+}
+
+TEST(BohmParkingTest, IdleEngineUsesLittleCpu) {
+  TempLogDir dir("bohm_parking_idle");
+  BohmEngine engine(OneTable(8), ParkingConfig(dir.str(), 4));
+  uint64_t zero = 0;
+  for (Key k = 0; k < 8; ++k) ASSERT_TRUE(engine.Load(0, k, &zero).ok());
+  ASSERT_TRUE(engine.Start().ok());
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(
+        engine.Submit(std::make_unique<IncrementProcedure>(0, i % 8)).ok());
+  }
+  engine.WaitForIdle();
+  // Let the last fsync and every stage's spin budget run out.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const uint64_t c0 = ProcessCpuNanos();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const uint64_t cpu_ns = ProcessCpuNanos() - c0;
+  const auto wall_ns = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+  // Six engine threads that spun would burn about six cores here.
+  EXPECT_LT(cpu_ns, wall_ns / 4)
+      << "idle engine used " << cpu_ns << " ns of CPU in " << wall_ns
+      << " ns";
+  EXPECT_EQ(engine.Stats().commits, 20u);
+  engine.Stop();
+}
+#endif
+
+class ParkedPipelineEquivalence : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(ParkedPipelineEquivalence, BurstsAfterIdleGapsMatchSerialOracle) {
+  const uint32_t depth = GetParam();
+  constexpr uint64_t kKeys = 6;
+  constexpr int kBursts = 30;
+  constexpr int kBurstTxns = 13;  // a few batches of 4, the last partial
+  TempLogDir dir("bohm_parking_bursts");
+  const BohmConfig cfg = ParkingConfig(dir.str(), depth);
+
+  // Exec thread 1 always finishes its stripe well after thread 0, so
+  // thread 0 parks on its feed between batches with its pin behind the
+  // watermark that thread 1 then advances. Only a wake on that advance
+  // lets thread 0 refresh the pin the slot-reuse gate waits for.
+  auto hooks = std::make_shared<BohmTestHooks>();
+  hooks->exec_batch_end = [](uint32_t exec_id, int64_t) {
+    if (exec_id == 1) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  };
+
+  std::vector<uint64_t> oracle(kKeys, 0);
+  uint64_t zero = 0;
+  {
+    BohmEngine engine(OneTable(kKeys), cfg);
+    engine.set_test_hooks(hooks);
+    for (Key k = 0; k < kKeys; ++k) {
+      ASSERT_TRUE(engine.Load(0, k, &zero).ok());
+    }
+    ASSERT_TRUE(engine.Start().ok());
+    Rng rng(900 + depth);
+    uint64_t submitted = 0;
+    for (int burst = 0; burst < kBursts; ++burst) {
+      for (int i = 0; i < kBurstTxns; ++i) {
+        // Hot keys: consecutive batches read each other's writes, so exec
+        // threads follow producer pointers across batches.
+        const Key key = rng.Uniform(kKeys);
+        ProcedurePtr proc;
+        if (rng.Uniform(4) == 0) {
+          const uint64_t value = rng.Uniform(1000);
+          oracle[key] = value;
+          proc = std::make_unique<PutProcedure>(0, key, value);
+        } else {
+          const uint64_t delta = 1 + rng.Uniform(9);
+          oracle[key] += delta;
+          proc = std::make_unique<IncrementProcedure>(0, key, delta);
+        }
+        ASSERT_TRUE(engine.Submit(std::move(proc)).ok());
+        ++submitted;
+      }
+      // Longer than the spin budget: every stage parks before the next
+      // burst.
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (!WaitUntil([&] { return engine.Stats().commits == submitted; })) {
+      // The engine's threads are wedged and could never be joined.
+      std::fprintf(stderr, "pipeline stalled at depth %u: %llu of %llu "
+                           "committed\n", depth,
+                   static_cast<unsigned long long>(engine.Stats().commits),
+                   static_cast<unsigned long long>(submitted));
+      std::abort();
+    }
+    engine.WaitForIdle();
+    for (Key k = 0; k < kKeys; ++k) {
+      uint64_t v = 0;
+      ASSERT_TRUE(engine.ReadLatest(0, k, &v).ok());
+      EXPECT_EQ(v, oracle[k]) << "depth " << depth << " key " << k;
+    }
+    engine.Stop();
+  }
+
+  // The parked log writer wrote every batch: replay rebuilds the state.
+  BohmEngine recovered(OneTable(kKeys), cfg);
+  for (Key k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(recovered.Load(0, k, &zero).ok());
+  }
+  ASSERT_TRUE(recovered.Recover().ok());
+  EXPECT_EQ(recovered.recovery_stats().txns,
+            static_cast<uint64_t>(kBursts) * kBurstTxns);
+  for (Key k = 0; k < kKeys; ++k) {
+    uint64_t v = 0;
+    ASSERT_TRUE(recovered.ReadLatest(0, k, &v).ok());
+    EXPECT_EQ(v, oracle[k]) << "recovered, depth " << depth << " key " << k;
+  }
+  recovered.Stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(Depths, ParkedPipelineEquivalence,
+                         ::testing::Values(1u, 2u, 8u));
 
 }  // namespace
 }  // namespace bohm

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <time.h>
+
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -205,6 +210,126 @@ TEST(SpinWaitTest, PauseProgresses) {
   wait.Reset();
   wait.Pause();
 }
+
+// ---------------------------------------------------------------------------
+// IdleEvent: spin-then-park event count (docs/CONCURRENCY.md rule R9).
+// ---------------------------------------------------------------------------
+
+/// Aborts the binary if `done` is not set within `seconds`: a lost wakeup
+/// leaves the test threads parked forever, and they could not be joined.
+class Watchdog {
+ public:
+  Watchdog(const std::atomic<bool>& done, int seconds) {
+    thread_ = std::thread([&done, seconds] {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
+      while (!done.load(std::memory_order_acquire)) {
+        if (std::chrono::steady_clock::now() > deadline) {
+          std::fprintf(stderr, "IdleEvent: no progress for %d s, "
+                               "a wakeup was lost\n", seconds);
+          std::abort();
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+    });
+  }
+  ~Watchdog() { thread_.join(); }
+
+ private:
+  std::thread thread_;
+};
+
+/// Passes a token around `threads` threads `rounds` times; each thread
+/// parks on one shared event until the token is its own. A zero spin
+/// budget makes every wait park, so every round crosses the
+/// register/re-check/notify window a lost wakeup would need.
+void TokenRing(uint32_t threads, uint64_t rounds) {
+  IdleEvent event(/*spin_nanos=*/0);
+  std::atomic<uint64_t> token{0};
+  std::atomic<bool> done{false};
+  Watchdog watchdog(done, 60);
+  std::vector<std::thread> ring;
+  for (uint32_t id = 0; id < threads; ++id) {
+    ring.emplace_back([&, id] {
+      for (uint64_t r = 0; r < rounds; ++r) {
+        const uint64_t mine = r * threads + id;
+        event.Await(
+            [&] { return token.load(std::memory_order_acquire) == mine; });
+        token.store(mine + 1, std::memory_order_release);
+        event.Notify();
+      }
+    });
+  }
+  for (auto& t : ring) t.join();
+  done.store(true, std::memory_order_release);
+  EXPECT_EQ(token.load(), rounds * threads);
+}
+
+TEST(IdleEventTest, PingPongNeverLosesAWakeup) { TokenRing(2, 100000); }
+
+// Three waiters with different predicates on one event: every Notify
+// wakes both others and one of them must park again.
+TEST(IdleEventTest, SharedEventWakesEveryPredicate) { TokenRing(3, 30000); }
+
+TEST(IdleEventTest, AwaitReturnsAtOnceWhenReady) {
+  IdleEvent event;
+  event.Await([] { return true; });
+  event.Notify();  // nobody parked: a fence and a load
+}
+
+TEST(IdleEventTest, BusyWaitSpinsInsteadOfParking) {
+  IdleEvent event(/*spin_nanos=*/0);
+  std::atomic<bool> ready{false};
+  std::atomic<bool> done{false};
+  Watchdog watchdog(done, 60);
+  // No Notify ever comes: only a waiter that keeps polling while busy()
+  // holds can see the flag.
+  std::thread waiter([&] {
+    event.Await([&] { return ready.load(std::memory_order_acquire); },
+                [] { return true; });
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ready.store(true, std::memory_order_release);
+  waiter.join();
+  done.store(true, std::memory_order_release);
+}
+
+#if defined(__linux__)
+uint64_t ThreadCpuNanos() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<uint64_t>(ts.tv_sec) * 1000000000ull +
+         static_cast<uint64_t>(ts.tv_nsec);
+}
+
+TEST(IdleEventTest, ParkedWaiterUsesLittleCpu) {
+  IdleEvent event;  // the engine's spin budget
+  std::atomic<bool> ready{false};
+  std::atomic<bool> started{false};
+  uint64_t cpu_ns = 0;
+  uint64_t wall_ns = 0;
+  std::thread waiter([&] {
+    const auto t0 = std::chrono::steady_clock::now();
+    const uint64_t c0 = ThreadCpuNanos();
+    started.store(true, std::memory_order_release);
+    event.Await([&] { return ready.load(std::memory_order_acquire); });
+    cpu_ns = ThreadCpuNanos() - c0;
+    wall_ns = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+  });
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ready.store(true, std::memory_order_release);
+  event.Notify();
+  waiter.join();
+  EXPECT_GE(wall_ns, 100000000u);
+  // Under 10% of one core over the wait: the spin budget is microseconds.
+  EXPECT_LT(cpu_ns, wall_ns / 10) << "cpu " << cpu_ns << " ns over "
+                                  << wall_ns << " ns";
+}
+#endif
 
 }  // namespace
 }  // namespace bohm
