@@ -60,6 +60,10 @@ void BohmEngine::FoldTouchCounters() {
 void BohmEngine::SealBatch(Batch* batch, int64_t id) {
   batch->id = id;
   LogSealedBatch(*batch, id);
+  // Announce the id before the feed pushes, so PipelineBusy() already
+  // holds when a consumer pops the batch: its waits behind this batch
+  // then spin rather than park (docs/CONCURRENCY.md rule R9).
+  last_sealed_batch_.store(id, std::memory_order_release);
   // Publish the sealed batch by announcing its id through every
   // consumer's SPSC feed ring: the ring's release store is what makes the
   // slot contents the sequencer just wrote visible to that consumer
@@ -76,7 +80,6 @@ void BohmEngine::SealBatch(Batch* batch, int64_t id) {
     assert(pushed && "exec feed overflow: back-pressure invariant broken");
     (void)pushed;
   }
-  last_sealed_batch_.store(id, std::memory_order_release);
   idle_.Notify();  // CC and exec threads park on empty feeds (rule R9)
 }
 

@@ -3,11 +3,13 @@
 // Two kinds of wait live here, and every wait loop in the codebase uses
 // one of them:
 //
-//  * SpinWait — for short critical-section waits: the locks below, the
-//    Bohm exec stripe loop (a peer is mid-transaction) and the executor
-//    engines. It spins with a pause instruction for a short burst and then
-//    yields the processor, so a pure spin cannot starve the thread it
-//    waits on when threads outnumber cores.
+//  * SpinWait — for waits on a peer that is working: the locks below, the
+//    Bohm exec stripe loop (a peer is mid-transaction), the executor
+//    engines, IdleEvent's busy branch (a pipeline stage waits behind a
+//    sealed batch that is still executing) and the log writer's kInterval
+//    poll before an fsync deadline. It spins with a pause instruction for
+//    a short burst and then yields the processor, so a pure spin cannot
+//    starve the thread it waits on when threads outnumber cores.
 //  * IdleEvent — for idle waits between pipeline threads, which can last
 //    arbitrarily long (an engine below saturation is mostly idle). It
 //    spins for a fixed time budget and then parks the thread in the
@@ -15,9 +17,9 @@
 //
 // The paper's prototype runs one pinned thread per physical core and lets
 // every stage spin. That is affordable at saturation, but it burns every
-// core it is given at any load; parking after a short spin keeps the
-// saturated behaviour (a busy stage never reaches the park) and frees the
-// cores when there is nothing to do.
+// core it is given at any load. Parking after a short spin frees the
+// cores when there is nothing to do; a stage waiting behind unfinished
+// work keeps spinning (and yielding) as before, so it never pays a wake.
 //
 // The locks here are annotated capabilities (common/thread_annotations.h):
 // under Clang, -Wthread-safety statically checks that fields declared
@@ -131,10 +133,12 @@ class alignas(kCacheLineSize) IdleEvent {
 
   /// As above, but while `busy()` holds the wait is back-pressure from a
   /// peer that is still working, not idleness: past the spin budget it
-  /// keeps polling with SpinWait instead of parking. A parked thread pays the wake latency on the critical
-  /// path, which under CPU contention is a scheduler slice; see
-  /// docs/CONCURRENCY.md rule R9. `busy` needs no notifier: it only picks
-  /// spin versus park, and whatever makes it true also notifies.
+  /// keeps polling with SpinWait (which yields) instead of parking. A
+  /// parked thread pays the wake latency on the critical path, which
+  /// under CPU contention is a scheduler slice; see docs/CONCURRENCY.md
+  /// rule R9. `busy` only picks spin versus park: the no-lost-wakeup
+  /// argument never rests on it, so a waiter's predicate still needs a
+  /// notifier for every change even where `busy` happens to hold.
   template <typename Pred, typename Busy>
   void Await(Pred ready, Busy busy) {
     for (;;) {

@@ -1,19 +1,8 @@
 #include "log/log_writer.h"
 
-#include <algorithm>
-#include <chrono>
-
 #include "common/stats.h"
 
 namespace bohm {
-
-namespace {
-
-/// Longest sleep of the kInterval timed poll while records await their
-/// fsync deadline; bounds how long a full ring can hold up Append.
-constexpr uint64_t kIntervalPollNanos = 50'000;
-
-}  // namespace
 
 const char* FsyncPolicyName(FsyncPolicy policy) {
   switch (policy) {
@@ -102,6 +91,7 @@ void LogWriter::PublishCounters() {
 }
 
 void LogWriter::WriterLoop() {
+  SpinWait wait;  // kInterval's timed poll while records await the deadline
   uint64_t unsynced = 0;  // records appended since the last durability point
   uint64_t last_appended = 0;
   uint64_t last_sync_ns = MonotonicNanos();
@@ -116,6 +106,7 @@ void LogWriter::WriterLoop() {
   for (;;) {
     Pending p;
     if (queue_.TryPop(&p)) {
+      wait.Reset();
       idle_->Notify();  // a full-ring Append parks until a pop
       // relaxed: failed_ is only ever set by this thread (Fail below).
       if (failed_.load(std::memory_order_relaxed)) {
@@ -153,27 +144,28 @@ void LogWriter::WriterLoop() {
 
     // Ring is dry. Group commit syncs whatever accumulated (an idle
     // pipeline must not leave acknowledged-later batches hanging);
-    // interval syncs when its clock expires and polls the ring in short
-    // sleeps until then. (relaxed: failed_ is written only by this
+    // interval syncs when its clock expires and until then keeps polling
+    // the ring with SpinWait. (relaxed: failed_ is written only by this
     // thread.)
+    bool awaiting_deadline = false;
     if (unsynced > 0 && !failed_.load(std::memory_order_relaxed)) {
       if (opts_.policy == FsyncPolicy::kGroup) {
         sync_now();
         continue;
       }
       if (opts_.policy == FsyncPolicy::kInterval) {
-        const uint64_t due = last_sync_ns + opts_.interval_us * 1000;
-        const uint64_t now = MonotonicNanos();
-        if (now >= due) {
+        if (MonotonicNanos() - last_sync_ns >= opts_.interval_us * 1000) {
           sync_now();
-        } else {
-          std::this_thread::sleep_for(std::chrono::nanoseconds(
-              std::min(due - now, kIntervalPollNanos)));
+          continue;
         }
-        continue;
+        awaiting_deadline = true;
       }
     }
     if (stop_.load(std::memory_order_acquire) && queue_.Empty()) break;
+    if (awaiting_deadline) {
+      wait.Pause();
+      continue;
+    }
     // Nothing pending: park until Append pushes or Stop is called.
     idle_->Await([this] {
       return !queue_.Empty() || stop_.load(std::memory_order_acquire);

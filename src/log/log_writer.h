@@ -18,7 +18,9 @@
 //
 // Idle waits on both sides park on the engine's IdleEvent
 // (docs/CONCURRENCY.md rule R9): the writer notifies it after every pop,
-// durable advance and failure; Append notifies it after every push.
+// durable advance and failure; Append notifies it after every push. The
+// one exception is kInterval with records awaiting their fsync deadline:
+// the writer then keeps polling the ring with SpinWait until it is due.
 #pragma once
 
 #include <atomic>
