@@ -1,22 +1,14 @@
 #!/usr/bin/env bash
 # Smoke-check a benchmark binary's JSON output: run it with tiny
 # parameters (the caller sets the BOHM_BENCH_* knobs; CTest does), then
-# assert that every Bohm point carries
-#   - a real latency distribution: lat_count > 0 and
-#     0 < p50 <= p99 <= p999 (guards the end-to-end latency path,
-#     Submit stamp -> exec-stage record -> fold -> JSON), and
-#   - the per-stage pipeline stall attribution of the streamed handoff:
-#     seq_stall_us / cc_stall_us / exec_stall_us present and >= 0
-#     (guards the stall accounting path, stage counters -> snapshot
-#     delta -> JSON), and
-#   - the durable-log accounting: log_stall_us and fsyncs present and
-#     >= 0 on every Bohm point (zero when the bench runs without
-#     durability — the keys must still be emitted so the ablation JSON
-#     stays line-compatible), and
-#   - the adaptive-repartitioning counters: cc_migrations and
-#     cc_imbalance present and >= 0 on every Bohm point (zero migrations
-#     when migration is off; the imbalance gauge is real either way —
-#     again, the keys must be emitted unconditionally).
+# assert that every Bohm point carries a real latency distribution:
+# lat_count > 0 and 0 < p50 <= p99 <= p999 (guards the end-to-end latency
+# path, Submit stamp -> exec-stage record -> fold -> JSON).
+#
+# Which keys a point carries is not checked here: JsonReport emits one key
+# per row of the statistics registry (kStatFields in src/common/stats.h)
+# on every point, and harness_test's
+# ReportTest.JsonPointCarriesEveryRegisteredKey pins the exact key list.
 #
 # With BOHM_SMOKE_REQUIRE_MIGRATIONS=1 (the hotspot-bench smoke sets it:
 # that bench runs an adaptive point under skewed traffic, so a zero
@@ -60,10 +52,7 @@ awk -v min_tput="$min_tput" -v require_migrations="$require_migrations" '
   /"system": "Bohm/ {
     bohm++
     lat_count = p50 = p99 = p999 = -1
-    seq_stall = cc_stall = exec_stall = -1
-    log_stall = fsyncs = -1
-    cc_migr = cc_imb = -1
-    threads = tput = -1
+    cc_migr = threads = tput = -1
     # Strip JSON punctuation up front so values quoted as strings (the
     # swept parameters, e.g. "threads": "1") parse numerically too.
     gsub(/[",:{}]/, "", $0)
@@ -72,13 +61,7 @@ awk -v min_tput="$min_tput" -v require_migrations="$require_migrations" '
       if ($i == "p50_us") p50 = $(i + 1) + 0
       if ($i == "p99_us") p99 = $(i + 1) + 0
       if ($i == "p999_us") p999 = $(i + 1) + 0
-      if ($i == "seq_stall_us") seq_stall = $(i + 1) + 0
-      if ($i == "cc_stall_us") cc_stall = $(i + 1) + 0
-      if ($i == "exec_stall_us") exec_stall = $(i + 1) + 0
-      if ($i == "log_stall_us") log_stall = $(i + 1) + 0
-      if ($i == "fsyncs") fsyncs = $(i + 1) + 0
       if ($i == "cc_migrations") cc_migr = $(i + 1) + 0
-      if ($i == "cc_imbalance") cc_imb = $(i + 1) + 0
       if ($i == "threads") threads = $(i + 1) + 0
       if ($i == "tput_txns_per_sec") tput = $(i + 1) + 0
     }
@@ -86,26 +69,6 @@ awk -v min_tput="$min_tput" -v require_migrations="$require_migrations" '
     else if (p50 <= 0) { print "FAIL: Bohm point with p50_us<=0: " $0; bad++ }
     else if (p50 > p99 || p99 > p999) {
       print "FAIL: non-monotone percentiles (p50 " p50 ", p99 " p99 ", p999 " p999 "): " $0
-      bad++
-    }
-    # Stall attribution must be emitted (>= 0 means the key was present;
-    # the sentinel -1 survives only when the field is missing). Zero is a
-    # legal value — a perfectly balanced pipeline may not stall at all.
-    if (seq_stall < 0 || cc_stall < 0 || exec_stall < 0) {
-      print "FAIL: Bohm point missing stall attribution (seq " seq_stall \
-            ", cc " cc_stall ", exec " exec_stall "): " $0
-      bad++
-    }
-    if (log_stall < 0 || fsyncs < 0) {
-      print "FAIL: Bohm point missing durable-log accounting (log_stall_us " \
-            log_stall ", fsyncs " fsyncs "): " $0
-      bad++
-    }
-    # Adaptive counters must be emitted on every Bohm point; zero
-    # migrations is the legal reading with migration off.
-    if (cc_migr < 0 || cc_imb < 0) {
-      print "FAIL: Bohm point missing adaptive counters (cc_migrations " \
-            cc_migr ", cc_imbalance " cc_imb "): " $0
       bad++
     }
     total_migr += cc_migr > 0 ? cc_migr : 0
@@ -131,6 +94,6 @@ awk -v min_tput="$min_tput" -v require_migrations="$require_migrations" '
       }
     }
     if (bad > 0) exit 1
-    print "OK: " bohm " Bohm points, all with non-zero monotone latency and stall attribution"
+    print "OK: " bohm " Bohm points, all with non-zero monotone latency"
   }
 ' "$out"

@@ -88,9 +88,6 @@ BohmEngine::BohmEngine(const Catalog& catalog, BohmConfig cfg)
     opts.group_size =
         cfg_.durability.group_size == 0 ? 1 : cfg_.durability.group_size;
     opts.interval_us = cfg_.durability.interval_us;
-    opts.queue_capacity = NextPow2(cfg_.durability.writer_queue_capacity < 2
-                                       ? 2
-                                       : cfg_.durability.writer_queue_capacity);
     log_writer_ = std::make_unique<LogWriter>(log_.get(), opts, &idle_);
   }
 }

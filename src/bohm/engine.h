@@ -77,7 +77,6 @@ struct DurabilityConfig {
   /// the transaction survives a crash ("no acked commit is ever lost").
   /// When false, logging is asynchronous book-keeping only.
   bool durable_ack = true;
-  size_t writer_queue_capacity = 256;  // sequencer->writer ring (pow2)
   /// File-system indirection; nullptr means the real one. Tests inject
   /// FaultLogEnv here.
   LogEnv* env = nullptr;
@@ -271,13 +270,8 @@ class BohmEngine final : public Engine {
 
   /// Physical partitions per table (independent of `adaptive.enabled`).
   uint32_t partition_count() const { return db_.partitions(); }
-  /// Partitions migrated between CC threads so far (monotone; 0 with
-  /// migration disabled).
-  uint64_t cc_migrations() const { return repart_->migrations(); }
   /// Epoch of the currently promoted partition map (0 = initial).
   uint64_t partition_map_epoch() const { return repart_->epoch(); }
-  /// Last folded max/mean CC-thread load ratio x1000 (1000 = balanced).
-  uint64_t cc_imbalance_x1000() const { return repart_->imbalance_x1000(); }
 
   /// Reads the committed value of a record as of "now" (after
   /// WaitForIdle). Test/example helper; not part of the transactional

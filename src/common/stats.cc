@@ -1,20 +1,64 @@
 #include "common/stats.h"
 
-#include <sstream>
+#include <cinttypes>
+#include <cstdio>
 
 namespace bohm {
 
-std::string StatsSnapshot::ToString() const {
-  std::ostringstream os;
-  os << "commits=" << commits << " cc_aborts=" << cc_aborts
-     << " logic_aborts=" << logic_aborts << " retries=" << retries
-     << " reads=" << reads << " writes=" << writes;
-  if (seq_stall_ns != 0 || cc_stall_ns != 0 || exec_stall_ns != 0) {
-    os << " seq_stall_us=" << seq_stall_ns / 1000
-       << " cc_stall_us=" << cc_stall_ns / 1000
-       << " exec_stall_us=" << exec_stall_ns / 1000;
+namespace {
+
+/// The per-thread counters and the snapshot fields StatsRegistry::Fold
+/// sums them into (Reset clears the same list).
+struct ThreadCounterField {
+  RelaxedCounter ThreadStats::*slice;
+  uint64_t StatsSnapshot::*total;
+};
+constexpr ThreadCounterField kThreadCounters[] = {
+    {&ThreadStats::commits, &StatsSnapshot::commits},
+    {&ThreadStats::cc_aborts, &StatsSnapshot::cc_aborts},
+    {&ThreadStats::logic_aborts, &StatsSnapshot::logic_aborts},
+    {&ThreadStats::retries, &StatsSnapshot::retries},
+    {&ThreadStats::reads, &StatsSnapshot::reads},
+    {&ThreadStats::writes, &StatsSnapshot::writes},
+};
+
+}  // namespace
+
+std::string StatField::Format(const StatsSnapshot& s) const {
+  const uint64_t v = s.*member;
+  char buf[32];
+  if (scale == 1) {
+    std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
+  } else {
+    int decimals = 0;
+    for (uint64_t x = scale; x > 1; x /= 10) ++decimals;
+    std::snprintf(buf, sizeof(buf), "%.*f", decimals,
+                  static_cast<double>(v) / static_cast<double>(scale));
   }
-  return os.str();
+  return buf;
+}
+
+std::string StatsSnapshot::ToString() const {
+  std::string out;
+  for (const StatField& f : kStatFields) {
+    if (!out.empty()) out += ' ';
+    out += f.key;
+    out += '=';
+    out += f.Format(*this);
+  }
+  return out;
+}
+
+StatsSnapshot StatsSnapshot::Delta(const StatsSnapshot& after,
+                                   const StatsSnapshot& before) {
+  StatsSnapshot out;
+  for (const StatField& f : kStatFields) {
+    out.*f.member = f.kind == StatKind::kCounter
+                        ? after.*f.member - before.*f.member
+                        : after.*f.member;
+  }
+  out.latency_us = Histogram::Delta(after.latency_us, before.latency_us);
+  return out;
 }
 
 // Thread-safety: safe to call concurrently with running workers — each
@@ -25,12 +69,9 @@ StatsSnapshot StatsRegistry::Fold() const {
   StatsSnapshot out;
   for (uint32_t i = 0; i < threads_; ++i) {
     const ThreadStats& s = slices_[i];
-    out.commits += s.commits.Get();
-    out.cc_aborts += s.cc_aborts.Get();
-    out.logic_aborts += s.logic_aborts.Get();
-    out.retries += s.retries.Get();
-    out.reads += s.reads.Get();
-    out.writes += s.writes.Get();
+    for (const ThreadCounterField& c : kThreadCounters) {
+      out.*c.total += (s.*c.slice).Get();
+    }
     s.latency_us.MergeInto(&out.latency_us);
   }
   return out;
@@ -47,12 +88,7 @@ uint64_t StatsRegistry::FoldCompleted() const {
 void StatsRegistry::Reset() {
   for (uint32_t i = 0; i < threads_; ++i) {
     ThreadStats& s = slices_[i];
-    s.commits.Reset();
-    s.cc_aborts.Reset();
-    s.logic_aborts.Reset();
-    s.retries.Reset();
-    s.reads.Reset();
-    s.writes.Reset();
+    for (const ThreadCounterField& c : kThreadCounters) (s.*c.slice).Reset();
     s.latency_us.Reset();
   }
 }

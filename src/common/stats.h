@@ -11,7 +11,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 
@@ -77,8 +79,33 @@ inline void RecordCommit(ThreadStats& st, uint64_t start_ns) {
   st.commits.Inc();
 }
 
+struct StatsSnapshot;
+
+/// How a statistic windows: a counter grows monotonically, so a window is
+/// the difference of its two edge readings; a gauge is a point reading,
+/// so a window keeps the closing one.
+enum class StatKind : uint8_t { kCounter, kGauge };
+
+/// One row of the statistics registry (kStatFields below): where a
+/// StatsSnapshot field lives, how it windows, and how it is reported.
+struct StatField {
+  uint64_t StatsSnapshot::*member;
+  StatKind kind;
+  const char* key;  ///< report key, in the JSON dump and in ToString()
+  /// Reported value = field / scale (a power of ten), printed with as many
+  /// decimals as the scale has zeros, so no digit of the field is lost.
+  uint64_t scale;
+
+  std::string Format(const StatsSnapshot& s) const;
+};
+
 /// Aggregated view (plain values; safe to copy around — note the latency
 /// histogram makes this a few KB, so avoid copying in tight loops).
+///
+/// Every uint64_t field has exactly one row in kStatFields, which is what
+/// Delta(), ToString() and the bench JSON walk; the build fails if a field
+/// lacks its row. Adding a metric is: a field here, its row there, and the
+/// engine line that fills it.
 struct StatsSnapshot {
   uint64_t commits = 0;
   uint64_t cc_aborts = 0;
@@ -94,22 +121,19 @@ struct StatsSnapshot {
   Histogram latency_us;
   /// Per-stage stall attribution for pipelined engines (Bohm), in
   /// nanoseconds of wall-clock wait, summed over the stage's threads.
-  /// Monotone like the counters, so a window is the snapshot difference.
   /// Zero for executor engines (they have no pipeline to stall).
   uint64_t seq_stall_ns = 0;   ///< sequencer waiting for slot reuse
   uint64_t cc_stall_ns = 0;    ///< CC threads waiting for sealed batches
   uint64_t exec_stall_ns = 0;  ///< exec threads waiting for feed/CC watermark
-  /// Durable-log accounting (zero when durability is off). Monotone, like
-  /// the stall counters, so a measurement window is the snapshot delta.
+  /// Durable-log accounting (zero when durability is off).
   uint64_t log_stall_ns = 0;  ///< pipeline time blocked on the log
                               ///< (sequencer handoff + durable-ack waits)
   uint64_t log_bytes = 0;     ///< bytes appended to the log
   uint64_t log_records = 0;   ///< batch records appended
   uint64_t log_fsyncs = 0;    ///< fsync calls issued by the log writer
   /// Adaptive CC repartitioning (zero for non-Bohm engines and with the
-  /// feature off). Migrations are monotone like the counters; the
-  /// imbalance is a gauge — the last folded max/mean CC-thread load
-  /// ratio x1000 (1000 = perfectly balanced), NOT windowable by delta.
+  /// feature off): partitions migrated so far, and the last folded
+  /// max/mean CC-thread load ratio x1000 (1000 = perfectly balanced).
   uint64_t cc_migrations = 0;
   uint64_t cc_imbalance_x1000 = 1000;
 
@@ -119,8 +143,52 @@ struct StatsSnapshot {
                          : static_cast<double>(cc_aborts) /
                                static_cast<double>(attempts);
   }
+  /// One `key=value` entry per kStatFields row.
   std::string ToString() const;
+
+  /// The window between two snapshots of the same engine, `before` taken
+  /// first: counters are after - before, gauges keep after's reading, and
+  /// the latency histogram is Histogram::Delta.
+  static StatsSnapshot Delta(const StatsSnapshot& after,
+                             const StatsSnapshot& before);
 };
+
+/// The statistics registry: one row per StatsSnapshot counter or gauge.
+inline constexpr StatField kStatFields[] = {
+    {&StatsSnapshot::commits, StatKind::kCounter, "commits", 1},
+    {&StatsSnapshot::cc_aborts, StatKind::kCounter, "cc_aborts", 1},
+    {&StatsSnapshot::logic_aborts, StatKind::kCounter, "logic_aborts", 1},
+    {&StatsSnapshot::retries, StatKind::kCounter, "retries", 1},
+    {&StatsSnapshot::reads, StatKind::kCounter, "reads", 1},
+    {&StatsSnapshot::writes, StatKind::kCounter, "writes", 1},
+    {&StatsSnapshot::seq_stall_ns, StatKind::kCounter, "seq_stall_us", 1000},
+    {&StatsSnapshot::cc_stall_ns, StatKind::kCounter, "cc_stall_us", 1000},
+    {&StatsSnapshot::exec_stall_ns, StatKind::kCounter, "exec_stall_us",
+     1000},
+    {&StatsSnapshot::log_stall_ns, StatKind::kCounter, "log_stall_us", 1000},
+    {&StatsSnapshot::log_bytes, StatKind::kCounter, "log_bytes", 1},
+    {&StatsSnapshot::log_records, StatKind::kCounter, "log_records", 1},
+    {&StatsSnapshot::log_fsyncs, StatKind::kCounter, "fsyncs", 1},
+    {&StatsSnapshot::cc_migrations, StatKind::kCounter, "cc_migrations", 1},
+    {&StatsSnapshot::cc_imbalance_x1000, StatKind::kGauge, "cc_imbalance",
+     1000},
+};
+
+// Completeness: distinct rows that together with the histogram account
+// for every byte of the snapshot, so a field without a row fails here.
+static_assert(
+    [] {
+      for (size_t i = 0; i < std::size(kStatFields); ++i) {
+        for (size_t j = i + 1; j < std::size(kStatFields); ++j) {
+          if (kStatFields[i].member == kStatFields[j].member) return false;
+        }
+      }
+      return true;
+    }(),
+    "kStatFields lists a StatsSnapshot field twice");
+static_assert(sizeof(StatsSnapshot) ==
+                  sizeof(Histogram) + std::size(kStatFields) * sizeof(uint64_t),
+              "every StatsSnapshot field needs a kStatFields row");
 
 /// Fixed-size pool of per-thread stats slices.
 class StatsRegistry {

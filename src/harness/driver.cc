@@ -20,32 +20,6 @@ double Seconds(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
-BenchResult Window(const StatsSnapshot& before, const StatsSnapshot& after,
-                   double seconds) {
-  BenchResult r;
-  r.seconds = seconds;
-  r.commits = after.commits - before.commits;
-  r.cc_aborts = after.cc_aborts - before.cc_aborts;
-  r.logic_aborts = after.logic_aborts - before.logic_aborts;
-  // Engine-side latency histograms grow monotonically, so the window is
-  // the bucket-wise difference of the two snapshots.
-  r.latency_us = Histogram::Delta(after.latency_us, before.latency_us);
-  // Stall attribution is monotone like the counters (zero for executor
-  // engines).
-  r.seq_stall_ns = after.seq_stall_ns - before.seq_stall_ns;
-  r.cc_stall_ns = after.cc_stall_ns - before.cc_stall_ns;
-  r.exec_stall_ns = after.exec_stall_ns - before.exec_stall_ns;
-  r.log_stall_ns = after.log_stall_ns - before.log_stall_ns;
-  r.log_bytes = after.log_bytes - before.log_bytes;
-  r.log_records = after.log_records - before.log_records;
-  r.log_fsyncs = after.log_fsyncs - before.log_fsyncs;
-  r.cc_migrations = after.cc_migrations - before.cc_migrations;
-  // Imbalance is a gauge, not a counter: report the window's closing
-  // reading.
-  r.cc_imbalance_x1000 = after.cc_imbalance_x1000;
-  return r;
-}
-
 /// Client threads submitting from per-client sources. Client c submits at
 /// most its share of `total` transactions; Park() holds every client
 /// between two submissions so the engine can be drained. Thread-safety:
@@ -146,7 +120,7 @@ BenchResult RunBench(Engine& engine, const TxnSourceMaker& maker,
   clients.Park();
   StatsSnapshot after = QuiescedStats(engine);
   auto t1 = Clock::now();
-  return Window(before, after, Seconds(t0, t1));
+  return {StatsSnapshot::Delta(after, before), Seconds(t0, t1)};
 }
 
 BenchResult RunCount(Engine& engine, const TxnSourceMaker& maker,
@@ -157,7 +131,7 @@ BenchResult RunCount(Engine& engine, const TxnSourceMaker& maker,
   clients.Join();
   StatsSnapshot after = QuiescedStats(engine);
   auto t1 = Clock::now();
-  return Window(before, after, Seconds(t0, t1));
+  return {StatsSnapshot::Delta(after, before), Seconds(t0, t1)};
 }
 
 }  // namespace bohm

@@ -39,49 +39,18 @@ struct DriverOptions {
   uint32_t clients = 0;
 };
 
-struct BenchResult {
+/// One measurement window: the engine's StatsSnapshot::Delta between the
+/// two quiesced window edges, plus the wall-clock seconds between them.
+/// Every windowed statistic (and its JSON key) is a kStatFields row in
+/// src/common/stats.h, not a field here. latency_us is the engine-side
+/// commit latency (RecordCommit): on-thread Execute() time for executor
+/// engines, end-to-end submit→commit-ack time for Bohm; its count equals
+/// `commits` exactly.
+struct BenchResult : StatsSnapshot {
   double seconds = 0;
-  uint64_t commits = 0;
-  uint64_t cc_aborts = 0;
-  uint64_t logic_aborts = 0;
-  /// Per-commit latency in microseconds over the window, recorded by the
-  /// engine (RecordCommit). Executor engines: on-thread Execute() time.
-  /// Bohm: end-to-end submit→commit-ack time, stamped at Submit() and
-  /// recorded at commit publication in the execution stage. The window
-  /// lies between two quiesced snapshots, so its count equals `commits`
-  /// exactly.
-  Histogram latency_us;
-  /// Per-stage stall attribution over the window (pipelined engines
-  /// only): wall-clock nanoseconds each stage spent waiting on another
-  /// stage, summed across the stage's threads. Attributes pipeline wait
-  /// to sequencer (slot-reuse back-pressure), CC (feed dry) and
-  /// execution (feed dry or CC watermark behind).
-  uint64_t seq_stall_ns = 0;
-  uint64_t cc_stall_ns = 0;
-  uint64_t exec_stall_ns = 0;
-  /// Durable-log accounting over the window (zero with durability off):
-  /// time the pipeline spent blocked on the log (sequencer on the writer
-  /// ring plus execution on the durable-ack gate), and the writer's bytes
-  /// / records / fsyncs.
-  uint64_t log_stall_ns = 0;
-  uint64_t log_bytes = 0;
-  uint64_t log_records = 0;
-  uint64_t log_fsyncs = 0;
-  /// Adaptive CC repartitioning over the window: partitions migrated
-  /// between CC threads (snapshot delta) and the closing snapshot's
-  /// max/mean CC-thread load ratio x1000 (a gauge — 1000 = balanced).
-  /// Zero / 1000 for executor engines and with the feature off.
-  uint64_t cc_migrations = 0;
-  uint64_t cc_imbalance_x1000 = 1000;
 
   double Throughput() const {
     return seconds > 0 ? static_cast<double>(commits) / seconds : 0.0;
-  }
-  double AbortRate() const {
-    uint64_t attempts = commits + cc_aborts;
-    return attempts == 0 ? 0.0
-                         : static_cast<double>(cc_aborts) /
-                               static_cast<double>(attempts);
   }
   uint64_t P50Us() const { return latency_us.Percentile(0.50); }
   uint64_t P99Us() const { return latency_us.Percentile(0.99); }

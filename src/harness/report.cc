@@ -2,16 +2,13 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <sstream>
 
 #include "common/env.h"
 
 namespace bohm {
 
 Report::Report(std::string title, std::vector<std::string> columns)
-    : title_(std::move(title)),
-      columns_(std::move(columns)),
-      csv_(EnvInt64("BOHM_BENCH_CSV", 0) != 0) {}
+    : title_(std::move(title)), columns_(std::move(columns)) {}
 
 void Report::AddRow(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
@@ -36,21 +33,6 @@ std::string Report::FormatDouble(double v, int precision) {
 }
 
 void Report::Print() const {
-  if (csv_) {
-    std::printf("# %s\n", title_.c_str());
-    for (size_t c = 0; c < columns_.size(); ++c) {
-      std::printf("%s%s", c ? "," : "", columns_[c].c_str());
-    }
-    std::printf("\n");
-    for (const auto& row : rows_) {
-      for (size_t c = 0; c < row.size(); ++c) {
-        std::printf("%s%s", c ? "," : "", row[c].c_str());
-      }
-      std::printf("\n");
-    }
-    return;
-  }
-
   std::vector<size_t> widths(columns_.size(), 0);
   for (size_t c = 0; c < columns_.size(); ++c) widths[c] = columns_[c].size();
   for (const auto& row : rows_) {
@@ -137,29 +119,19 @@ void JsonReport::Write() const {
       std::fprintf(f, ", \"%s\": \"%s\"", JsonEscape(k).c_str(),
                    JsonEscape(v).c_str());
     }
-    std::fprintf(
-        f,
-        ", \"seconds\": %.6f, \"commits\": %" PRIu64
-        ", \"cc_aborts\": %" PRIu64 ", \"logic_aborts\": %" PRIu64
-        ", \"tput_txns_per_sec\": %.1f, \"abort_rate\": %.6f"
-        ", \"lat_count\": %" PRIu64 ", \"lat_mean_us\": %.3f"
-        ", \"p50_us\": %" PRIu64 ", \"p99_us\": %" PRIu64
-        ", \"p999_us\": %" PRIu64 ", \"max_us\": %" PRIu64
-        ", \"seq_stall_us\": %.1f, \"cc_stall_us\": %.1f"
-        ", \"exec_stall_us\": %.1f, \"log_stall_us\": %.1f"
-        ", \"log_bytes\": %" PRIu64 ", \"log_records\": %" PRIu64
-        ", \"fsyncs\": %" PRIu64 ", \"cc_migrations\": %" PRIu64
-        ", \"cc_imbalance\": %.3f}%s\n",
-        r.seconds, r.commits, r.cc_aborts, r.logic_aborts, r.Throughput(),
-        r.AbortRate(), r.latency_us.count(), r.latency_us.Mean(), r.P50Us(),
-        r.P99Us(), r.P999Us(), r.latency_us.max(),
-        static_cast<double>(r.seq_stall_ns) / 1000.0,
-        static_cast<double>(r.cc_stall_ns) / 1000.0,
-        static_cast<double>(r.exec_stall_ns) / 1000.0,
-        static_cast<double>(r.log_stall_ns) / 1000.0, r.log_bytes,
-        r.log_records, r.log_fsyncs, r.cc_migrations,
-        static_cast<double>(r.cc_imbalance_x1000) / 1000.0,
-        i + 1 < points_.size() ? "," : "");
+    std::fprintf(f,
+                 ", \"seconds\": %.6f, \"tput_txns_per_sec\": %.1f"
+                 ", \"abort_rate\": %.6f, \"lat_count\": %" PRIu64
+                 ", \"lat_mean_us\": %.3f, \"p50_us\": %" PRIu64
+                 ", \"p99_us\": %" PRIu64 ", \"p999_us\": %" PRIu64
+                 ", \"max_us\": %" PRIu64,
+                 r.seconds, r.Throughput(), r.AbortRate(),
+                 r.latency_us.count(), r.latency_us.Mean(), r.P50Us(),
+                 r.P99Us(), r.P999Us(), r.latency_us.max());
+    for (const StatField& field : kStatFields) {
+      std::fprintf(f, ", \"%s\": %s", field.key, field.Format(r).c_str());
+    }
+    std::fprintf(f, "}%s\n", i + 1 < points_.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

@@ -1,9 +1,9 @@
 // Result reporting for the figure/table benchmarks: aligned
 // human-readable rows on stdout (the "same rows/series the paper reports")
-// plus optional CSV via BOHM_BENCH_CSV=1 for plotting, plus a full
-// machine-readable JSON dump (throughput AND latency percentiles per
-// measurement point) via BOHM_BENCH_JSON=<path> — the format behind the
-// committed BENCH_*.json perf-trajectory snapshots at the repo root.
+// plus a full machine-readable JSON dump (throughput, latency percentiles
+// and every registered statistic per measurement point) via
+// BOHM_BENCH_JSON=<path> — the format behind the committed BENCH_*.json
+// perf-trajectory snapshots at the repo root.
 #pragma once
 
 #include <cstdint>
@@ -32,18 +32,16 @@ class Report {
   std::string title_;
   std::vector<std::string> columns_;
   std::vector<std::vector<std::string>> rows_;
-  bool csv_;
 };
 
 /// Machine-readable benchmark output. When the BOHM_BENCH_JSON
 /// environment variable names a file, Write() emits every measurement
-/// point a figure binary produced — parameters, throughput, abort
-/// counts, the full latency profile (count/mean/p50/p99/p999/max in
-/// microseconds), and the per-stage pipeline stall attribution
-/// (seq/cc/exec_stall_us; zero for executor engines) — as one JSON
-/// object per line, so shell tools can assert on points without a JSON
-/// parser. No-op when the variable is unset, so the human-readable
-/// tables stay the default.
+/// point a figure binary produced — parameters, seconds, throughput,
+/// abort rate, the full latency profile (count/mean/p50/p99/p999/max in
+/// microseconds), and one key per kStatFields row (src/common/stats.h) —
+/// as one JSON object per line, so shell tools can assert on points
+/// without a JSON parser. No-op when the variable is unset, so the
+/// human-readable tables stay the default.
 class JsonReport {
  public:
   /// One (name, value) pair per swept parameter, e.g. {"threads", "4"}.

@@ -9,7 +9,6 @@
 //   BOHM_BENCH_WARMUP_MS=500              warmup
 //   BOHM_BENCH_SCAN_SIZE=10000            read-only transaction size
 //   BOHM_BENCH_SPIN_US=50                 SmallBank per-txn spin
-//   BOHM_BENCH_CSV=1                      machine-readable output
 //   BOHM_BENCH_JSON=out.json              full JSON dump incl. latency
 //                                         (see scripts/bench_snapshot.sh)
 //   BOHM_BENCH_ADAPTIVE=0                 disable adaptive CC

@@ -20,7 +20,7 @@ const char* FsyncPolicyName(FsyncPolicy policy) {
 
 LogWriter::LogWriter(BatchLog* log, const LogWriterOptions& opts,
                      IdleEvent* idle)
-    : log_(log), opts_(opts), idle_(idle), queue_(opts.queue_capacity) {}
+    : log_(log), opts_(opts), idle_(idle), queue_(kQueueCapacity) {}
 
 LogWriter::~LogWriter() {
   if (thread_.joinable()) Stop();

@@ -50,7 +50,6 @@ struct LogWriterOptions {
   FsyncPolicy policy = FsyncPolicy::kGroup;
   uint32_t group_size = 8;
   uint64_t interval_us = 1000;
-  size_t queue_capacity = 256;  // power of two
 };
 
 class LogWriter {
@@ -98,6 +97,9 @@ class LogWriter {
   }
 
  private:
+  /// Sequencer->writer ring slots (a power of two).
+  static constexpr size_t kQueueCapacity = 256;
+
   struct Pending {
     uint64_t seqno = 0;
     std::string payload;

@@ -136,7 +136,7 @@ TEST_P(AdaptiveYcsbEquivalence, MatchesGoldenReplayUnderConstantMigration) {
   }
   EXPECT_EQ(engine.Stats().commits, static_cast<uint64_t>(kTxns));
   // ~86 batches, each rotating all 24 partitions: the machinery really ran.
-  EXPECT_GT(engine.cc_migrations(), 0u);
+  EXPECT_GT(engine.Stats().cc_migrations, 0u);
   EXPECT_GT(engine.partition_map_epoch(), 0u);
   engine.Stop();
 }
@@ -213,7 +213,7 @@ TEST_P(AdaptiveSmallBankEquivalence, MatchesSerialReference) {
     EXPECT_EQ(v, want) << "depth " << depth << " table " << rec.first
                        << " customer " << rec.second;
   }
-  EXPECT_GT(engine.cc_migrations(), 0u);
+  EXPECT_GT(engine.Stats().cc_migrations, 0u);
   engine.Stop();
 }
 
@@ -277,7 +277,7 @@ TEST(AdaptiveGateTest, EpochFrozenWhileSourceThreadInsideOldMapBatch) {
   EXPECT_EQ(engine.partition_map_epoch(), 0u)
       << "migration promoted while a source thread had old-map batches in "
          "flight";
-  EXPECT_EQ(engine.cc_migrations(), 0u);
+  EXPECT_EQ(engine.Stats().cc_migrations, 0u);
 
   release.Open();
   engine.WaitForIdle();
@@ -288,7 +288,7 @@ TEST(AdaptiveGateTest, EpochFrozenWhileSourceThreadInsideOldMapBatch) {
   }
   engine.WaitForIdle();
   EXPECT_GT(engine.partition_map_epoch(), 0u);
-  EXPECT_GT(engine.cc_migrations(), 0u);
+  EXPECT_GT(engine.Stats().cc_migrations, 0u);
 
   uint64_t total = 0;
   for (Key k = 0; k < 16; ++k) {
@@ -336,7 +336,8 @@ TEST_P(AdaptiveSkewTest, SkewedTrafficMigratesPartitions) {
 
   ASSERT_TRUE(engine.Start().ok());
   uint64_t submitted = 0;
-  for (int round = 0; round < 40 && engine.cc_migrations() == 0; ++round) {
+  for (int round = 0; round < 40 && engine.Stats().cc_migrations == 0;
+       ++round) {
     for (int i = 0; i < 64; ++i) {
       ASSERT_TRUE(engine
                       .Submit(std::make_unique<IncrementProcedure>(
@@ -347,15 +348,15 @@ TEST_P(AdaptiveSkewTest, SkewedTrafficMigratesPartitions) {
     engine.WaitForIdle();
   }
   if (migrate) {
-    EXPECT_GT(engine.cc_migrations(), 0u)
+    EXPECT_GT(engine.Stats().cc_migrations, 0u)
         << "one-sided traffic never triggered a migration";
     EXPECT_GT(engine.partition_map_epoch(), 0u);
   } else {
-    EXPECT_EQ(engine.cc_migrations(), 0u);
+    EXPECT_EQ(engine.Stats().cc_migrations, 0u);
     EXPECT_EQ(engine.partition_map_epoch(), 0u);
     // Thread 0 carries all the load: max/mean = 2.0, well above the
     // threshold a migrating controller would act on.
-    EXPECT_GT(engine.cc_imbalance_x1000(),
+    EXPECT_GT(engine.Stats().cc_imbalance_x1000,
               static_cast<uint64_t>(cfg.adaptive.max_imbalance * 1000));
   }
   uint64_t total = 0;
@@ -403,7 +404,7 @@ TEST(AdaptiveGcTest, ForeignRetireesReturnToAllocatorAndStateStaysRight) {
   }
   engine.WaitForIdle();
 
-  EXPECT_GT(engine.cc_migrations(), 0u);
+  EXPECT_GT(engine.Stats().cc_migrations, 0u);
   EXPECT_GT(engine.gc_freed_versions(), 0u)
       << "GC never freed anything despite constant overwrites";
   uint64_t total = 0;
@@ -501,7 +502,7 @@ TEST(AdaptiveConfigTest, AdaptiveOffKeepsStaticAssignmentObservables) {
         engine.Submit(std::make_unique<IncrementProcedure>(0, i % 16)).ok());
   }
   engine.WaitForIdle();
-  EXPECT_EQ(engine.cc_migrations(), 0u);
+  EXPECT_EQ(engine.Stats().cc_migrations, 0u);
   EXPECT_EQ(engine.partition_map_epoch(), 0u);
   engine.Stop();
 }
@@ -543,7 +544,7 @@ TEST(AdaptiveHandoffTest, RotatingOwnershipPublishesHeadStores) {
     total += v;
   }
   EXPECT_EQ(total, static_cast<uint64_t>(kTxns));
-  EXPECT_GT(engine.cc_migrations(), 0u);
+  EXPECT_GT(engine.Stats().cc_migrations, 0u);
   engine.Stop();
 }
 

@@ -1,6 +1,15 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <regex>
+#include <string>
+#include <vector>
 
 #include "harness/driver.h"
 #include "harness/engines.h"
@@ -154,13 +163,118 @@ TEST(ReportTest, PrintDoesNotCrash) {
   r.Print();
 }
 
-TEST(ReportTest, BenchResultMath) {
+TEST(StatsDeltaTest, WalksEveryRegisteredRow) {
+  StatsSnapshot before, after;
+  for (size_t i = 0; i < std::size(kStatFields); ++i) {
+    before.*kStatFields[i].member = 1000 * (i + 1);
+    after.*kStatFields[i].member = 1000 * (i + 1) + 7 * (i + 1);
+  }
+  // Histograms grow with the commit counter: one sample per commit.
+  for (uint64_t c = 0; c < before.commits; ++c) {
+    before.latency_us.Record(5);
+    after.latency_us.Record(5);
+  }
+  for (uint64_t c = before.commits; c < after.commits; ++c) {
+    after.latency_us.Record(50);
+  }
+
+  const StatsSnapshot d = StatsSnapshot::Delta(after, before);
+  for (const StatField& f : kStatFields) {
+    const uint64_t want = f.kind == StatKind::kCounter
+                              ? after.*f.member - before.*f.member
+                              : after.*f.member;
+    EXPECT_EQ(d.*f.member, want) << f.key;
+  }
+  EXPECT_EQ(d.commits, 7u);
+  EXPECT_EQ(d.seq_stall_ns, after.seq_stall_ns - before.seq_stall_ns);
+  // The imbalance is the one gauge: the window keeps the closing reading.
+  EXPECT_EQ(d.cc_imbalance_x1000, after.cc_imbalance_x1000);
+  EXPECT_EQ(d.latency_us.count(), d.commits);
+  EXPECT_EQ(d.latency_us.Percentile(0.5), 50u);
+}
+
+// Parses one point line of the JSON dump (flat object, no nested
+// values, no commas inside strings) into its keys and values, in order.
+std::vector<std::pair<std::string, std::string>> ParsePoint(
+    const std::string& line) {
+  static const std::regex kPair(R"re("([^"]+)": ("[^"]*"|[-+0-9.eE]+))re");
+  std::vector<std::pair<std::string, std::string>> out;
+  for (auto it = std::sregex_iterator(line.begin(), line.end(), kPair);
+       it != std::sregex_iterator(); ++it) {
+    out.emplace_back((*it)[1].str(), (*it)[2].str());
+  }
+  return out;
+}
+
+TEST(ReportTest, JsonPointCarriesEveryRegisteredKey) {
+  const std::string path = ::testing::TempDir() + "harness_test_report_" +
+                           std::to_string(::getpid()) + ".json";
+  ::setenv("BOHM_BENCH_JSON", path.c_str(), 1);
+  JsonReport report("unit");
+  ::unsetenv("BOHM_BENCH_JSON");
+  ASSERT_TRUE(report.enabled());
+
   BenchResult r;
   r.seconds = 2.0;
   r.commits = 100;
   r.cc_aborts = 100;
+  r.reads = 30;
+  r.writes = 20;
+  r.retries = 4;
+  r.seq_stall_ns = 2500;
+  r.log_fsyncs = 9;
+  r.cc_imbalance_x1000 = 1250;
+  for (int i = 0; i < 100; ++i) r.latency_us.Record(10);
   EXPECT_DOUBLE_EQ(r.Throughput(), 50.0);
   EXPECT_DOUBLE_EQ(r.AbortRate(), 0.5);
+  report.AddPoint({{"threads", "1"}, {"theta", "0.9"}}, "Bohm", r);
+  report.Write();
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path;
+  std::vector<std::string> points;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"system\"") != std::string::npos) points.push_back(line);
+  }
+  in.close();
+  std::remove(path.c_str());
+  ASSERT_EQ(points.size(), 1u);
+
+  std::map<std::string, std::string> values;
+  std::vector<std::string> keys;
+  for (const auto& [k, v] : ParsePoint(points[0])) {
+    keys.push_back(k);
+    values[k] = v;
+  }
+  // The keys every committed BENCH_*.json point carries, plus the
+  // counters the registry adds (retries, reads, writes).
+  std::vector<std::string> want = {
+      "system",        "threads",       "theta",        "seconds",
+      "commits",       "cc_aborts",     "logic_aborts", "tput_txns_per_sec",
+      "abort_rate",    "lat_count",     "lat_mean_us",  "p50_us",
+      "p99_us",        "p999_us",       "max_us",       "seq_stall_us",
+      "cc_stall_us",   "exec_stall_us", "log_stall_us", "log_bytes",
+      "log_records",   "fsyncs",        "cc_migrations", "cc_imbalance",
+      "retries",       "reads",         "writes"};
+  std::sort(keys.begin(), keys.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(keys, want);
+
+  EXPECT_EQ(values["system"], "\"Bohm\"");
+  EXPECT_EQ(values["threads"], "\"1\"");
+  EXPECT_DOUBLE_EQ(std::stod(values["seconds"]), 2.0);
+  EXPECT_DOUBLE_EQ(std::stod(values["tput_txns_per_sec"]), 50.0);
+  EXPECT_DOUBLE_EQ(std::stod(values["abort_rate"]), 0.5);
+  EXPECT_EQ(values["commits"], "100");
+  EXPECT_EQ(values["lat_count"], "100");
+  EXPECT_EQ(values["p50_us"], "10");
+  EXPECT_EQ(values["reads"], "30");
+  EXPECT_EQ(values["writes"], "20");
+  EXPECT_EQ(values["retries"], "4");
+  EXPECT_EQ(values["fsyncs"], "9");
+  EXPECT_DOUBLE_EQ(std::stod(values["seq_stall_us"]), 2.5);
+  EXPECT_DOUBLE_EQ(std::stod(values["cc_stall_us"]), 0.0);
+  EXPECT_DOUBLE_EQ(std::stod(values["cc_imbalance"]), 1.25);
 }
 
 TEST(EngineFactoryTest, NamesMatch) {
