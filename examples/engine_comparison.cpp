@@ -9,36 +9,33 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "bench/bench_common.h"
+#include "harness/point.h"
 
 using namespace bohm;
-using namespace bohm::bench;
 
 int main(int argc, char** argv) {
   const uint32_t threads =
       argc > 1 ? static_cast<uint32_t>(std::strtoul(argv[1], nullptr, 10))
                : 2;
 
-  YcsbConfig cfg;
-  cfg.record_count = 20'000;
-  cfg.record_size = 1000;
-  cfg.theta = 0.9;  // high contention
+  PointSpec spec;
+  spec.threads = threads;
+  spec.workload = Workload::kYcsb2Rmw8R;
+  spec.records = 20'000;
+  spec.record_size = 1000;
+  spec.theta = 0.9;  // high contention
 
   DriverOptions opt;
   opt.warmup_ms = 100;
   opt.measure_ms = 400;
 
-  auto fn = [](YcsbGenerator& gen) {
-    return gen.Make(YcsbGenerator::TxnType::k2Rmw8R);
-  };
-
   std::printf("YCSB 2RMW-8R, theta=0.9, %u threads, %llu x 1000B records\n\n",
-              threads, static_cast<unsigned long long>(cfg.record_count));
+              threads, static_cast<unsigned long long>(spec.records));
   std::printf("%-8s  %14s  %12s  %10s\n", "system", "txns/s", "cc-aborts",
               "abort-rate");
   for (EngineKind kind : kAllEngines) {
-    BenchResult r = YcsbPoint(MakeEngine(kind, YcsbCatalog(cfg), threads),
-                              cfg, YcsbSource(cfg, fn), opt);
+    spec.engine = kind;
+    BenchResult r = RunPoint(spec, opt);
     std::printf("%-8s  %14.0f  %12llu  %9.1f%%\n", EngineKindName(kind),
                 r.Throughput(),
                 static_cast<unsigned long long>(r.cc_aborts),

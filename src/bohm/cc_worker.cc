@@ -130,7 +130,6 @@ void BohmEngine::CcProcessTxn(uint32_t cc_id, BohmTxn* txn, int64_t batch_id) {
     Version* v = st.alloc.Alloc(w.rec.table, record_sizes_[w.rec.table]);
     v->begin_ts = txn->ts;
     v->producer = txn;  // prev stays nullptr from Alloc until linked below
-    st.versions_created.Inc();
 
     bool inserted = false;
     BohmIndexEntry* entry = table->GetOrInsert(part, w.rec.key, v, &inserted);

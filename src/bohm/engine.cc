@@ -328,6 +328,7 @@ StatsSnapshot BohmEngine::Stats() const {
   }
   s.cc_migrations = repart_->migrations();
   s.cc_imbalance_x1000 = repart_->imbalance_x1000();
+  s.gc_freed = gc_freed_versions();
   return s;
 }
 

@@ -285,7 +285,6 @@ class BohmEngine final : public Engine {
     VersionAllocator alloc;
     std::deque<std::pair<Version*, int64_t>> retired;  // (version, batch)
     RelaxedCounter freed;
-    RelaxedCounter versions_created;
     /// Per-partition touch counters. Single-writer: at any moment each
     /// partition has exactly one owner, and ownership handoff rides the
     /// watermark/feed edges, so a slot never has two concurrent writers.

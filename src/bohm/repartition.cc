@@ -123,8 +123,10 @@ void RepartitionController::Observe(const std::vector<uint64_t>& touch_totals) {
   std::vector<uint64_t> loads = load_scratch_;
   uint32_t moves = 0;
   std::vector<uint32_t> sources;
-  const uint32_t max_moves = cfg_.max_moves == 0 ? partitions_ : cfg_.max_moves;
-  while (moves < max_moves) {
+  // The hottest movable partitions go first, so a few moves close most
+  // of a gap.
+  constexpr uint32_t kMaxMoves = 8;
+  while (moves < kMaxMoves) {
     uint32_t hi = 0, lo = 0;
     for (uint32_t t = 1; t < cc_threads_; ++t) {
       if (loads[t] > loads[hi]) hi = t;

@@ -56,8 +56,6 @@ struct AdaptiveCcConfig {
   /// Migrate when the hottest thread's load exceeds this multiple of the
   /// mean per-thread load.
   double max_imbalance = 1.25;
-  /// Cap on partitions moved per rebalance decision (0 = unlimited).
-  uint32_t max_moves = 8;
   /// Test knob: rotate every partition's owner by one thread at each
   /// interval regardless of load, forcing the migration machinery (map
   /// promotion gate, cross-thread handoff, GC allocator routing) to run

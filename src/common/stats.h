@@ -136,6 +136,9 @@ struct StatsSnapshot {
   /// max/mean CC-thread load ratio x1000 (1000 = perfectly balanced).
   uint64_t cc_migrations = 0;
   uint64_t cc_imbalance_x1000 = 1000;
+  /// Versions recycled by garbage collection (zero for non-Bohm engines
+  /// and with GC off).
+  uint64_t gc_freed = 0;
 
   double AbortRate() const {
     uint64_t attempts = commits + cc_aborts;
@@ -172,6 +175,7 @@ inline constexpr StatField kStatFields[] = {
     {&StatsSnapshot::cc_migrations, StatKind::kCounter, "cc_migrations", 1},
     {&StatsSnapshot::cc_imbalance_x1000, StatKind::kGauge, "cc_imbalance",
      1000},
+    {&StatsSnapshot::gc_freed, StatKind::kCounter, "gc_freed", 1},
 };
 
 // Completeness: distinct rows that together with the histogram account

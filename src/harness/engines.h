@@ -1,5 +1,5 @@
 // Uniform construction of the five engines the paper compares, so that
-// the figure benchmarks can sweep "system" as a parameter.
+// the experiment runner can sweep "system" as a parameter.
 #pragma once
 
 #include <cstdio>
@@ -7,7 +7,6 @@
 #include <memory>
 
 #include "bohm/engine.h"
-#include "harness/sweep.h"
 #include "mvocc/engine.h"
 #include "occ/silo_engine.h"
 #include "storage/schema.h"
@@ -34,10 +33,26 @@ inline const char* EngineKindName(EngineKind kind) {
   return "?";
 }
 
-/// One of the four executor engines with `threads` worker slots. kBohm is
-/// not an executor engine: asking for it aborts (use MakeEngine).
+/// Bohm with `total_threads` split evenly between CC and execution, as
+/// in the paper's cross-system comparisons (the sequencer mostly sleeps
+/// and is not counted). Partition migration is on: skew is where a static
+/// partition -> thread map melts.
+inline BohmConfig BohmSplit(uint32_t total_threads) {
+  if (total_threads == 0) total_threads = 1;
+  BohmConfig cfg;
+  cfg.cc_threads = total_threads / 2 == 0 ? 1 : total_threads / 2;
+  cfg.exec_threads =
+      total_threads - cfg.cc_threads == 0 ? 1 : total_threads - cfg.cc_threads;
+  cfg.adaptive.enabled = true;
+  return cfg;
+}
+
+/// One of the four executor engines with `threads` worker slots;
+/// `commit_deps` is SI/Hekaton's speculative-read switch. kBohm is not an
+/// executor engine: asking for it aborts (use MakeEngine).
 inline std::unique_ptr<ExecutorEngine> MakeExecutorEngine(
-    EngineKind kind, const Catalog& catalog, uint32_t threads) {
+    EngineKind kind, const Catalog& catalog, uint32_t threads,
+    bool commit_deps = true) {
   switch (kind) {
     case EngineKind::k2PL: {
       TwoPLConfig cfg;
@@ -53,12 +68,14 @@ inline std::unique_ptr<ExecutorEngine> MakeExecutorEngine(
       MVOccConfig cfg;
       cfg.mode = MVOccMode::kSnapshotIsolation;
       cfg.threads = threads;
+      cfg.commit_dependencies = commit_deps;
       return std::make_unique<MVOccEngine>(catalog, cfg);
     }
     case EngineKind::kHekaton: {
       MVOccConfig cfg;
       cfg.mode = MVOccMode::kHekaton;
       cfg.threads = threads;
+      cfg.commit_dependencies = commit_deps;
       return std::make_unique<MVOccEngine>(catalog, cfg);
     }
     case EngineKind::kBohm:

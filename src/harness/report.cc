@@ -1,9 +1,9 @@
 #include "harness/report.h"
 
-#include <cinttypes>
+#include <cerrno>
 #include <cstdio>
-
-#include "common/env.h"
+#include <cstring>
+#include <fstream>
 
 namespace bohm {
 
@@ -88,55 +88,59 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-}  // namespace
-
-JsonReport::JsonReport(std::string figure)
-    : figure_(std::move(figure)), path_(EnvStr("BOHM_BENCH_JSON", "")) {}
-
-void JsonReport::AddPoint(Params params, const std::string& system,
-                          const BenchResult& r) {
-  if (!enabled()) return;
-  points_.push_back(Point{std::move(params), system, r});
+std::string FormatFixed(const char* fmt, double v) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), fmt, v);
+  return buf;
 }
 
-void JsonReport::Write() const {
-  if (!enabled()) return;
-  FILE* f = std::fopen(path_.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "JsonReport: cannot open %s for writing\n",
-                 path_.c_str());
-    return;
+}  // namespace
+
+Params PointFields(const BenchResult& r) {
+  Params out = {
+      {"seconds", FormatFixed("%.6f", r.seconds)},
+      {"tput_txns_per_sec", FormatFixed("%.1f", r.Throughput())},
+      {"abort_rate", FormatFixed("%.6f", r.AbortRate())},
+      {"lat_count", std::to_string(r.latency_us.count())},
+      {"lat_mean_us", FormatFixed("%.3f", r.latency_us.Mean())},
+      {"p50_us", std::to_string(r.P50Us())},
+      {"p99_us", std::to_string(r.P99Us())},
+      {"p999_us", std::to_string(r.P999Us())},
+      {"max_us", std::to_string(r.latency_us.max())}};
+  for (const StatField& field : kStatFields) {
+    out.emplace_back(field.key, field.Format(r));
   }
-  std::fprintf(f, "{\n  \"figure\": \"%s\",\n  \"points\": [\n",
-               JsonEscape(figure_).c_str());
-  for (size_t i = 0; i < points_.size(); ++i) {
-    const Point& p = points_[i];
-    const BenchResult& r = p.result;
+  return out;
+}
+
+bool JsonReport::Write(const std::string& path) const {
+  const std::string tmp = path + ".tmp";
+  std::ofstream out(tmp);
+  out << "{\n  \"figure\": \"" << JsonEscape(figure)
+      << "\",\n  \"points\": [\n";
+  for (size_t i = 0; i < points.size(); ++i) {
     // One point per line, keys in a fixed order, so line-oriented tools
-    // (the bench_smoke checker) can assert on fields without a parser.
-    std::fprintf(f, "    {\"system\": \"%s\"", JsonEscape(p.system).c_str());
-    for (const auto& [k, v] : p.params) {
-      std::fprintf(f, ", \"%s\": \"%s\"", JsonEscape(k).c_str(),
-                   JsonEscape(v).c_str());
+    // can assert on fields without a parser.
+    out << "    {\"system\": \"" << JsonEscape(points[i].system) << '"';
+    for (const auto& [k, v] : points[i].params) {
+      out << ", \"" << JsonEscape(k) << "\": \"" << JsonEscape(v) << '"';
     }
-    std::fprintf(f,
-                 ", \"seconds\": %.6f, \"tput_txns_per_sec\": %.1f"
-                 ", \"abort_rate\": %.6f, \"lat_count\": %" PRIu64
-                 ", \"lat_mean_us\": %.3f, \"p50_us\": %" PRIu64
-                 ", \"p99_us\": %" PRIu64 ", \"p999_us\": %" PRIu64
-                 ", \"max_us\": %" PRIu64,
-                 r.seconds, r.Throughput(), r.AbortRate(),
-                 r.latency_us.count(), r.latency_us.Mean(), r.P50Us(),
-                 r.P99Us(), r.P999Us(), r.latency_us.max());
-    for (const StatField& field : kStatFields) {
-      std::fprintf(f, ", \"%s\": %s", field.key, field.Format(r).c_str());
+    for (const auto& [k, v] : PointFields(points[i].result)) {
+      out << ", \"" << k << "\": " << v;
     }
-    std::fprintf(f, "}%s\n", i + 1 < points_.size() ? "," : "");
+    out << '}' << (i + 1 < points.size() ? "," : "") << '\n';
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("JSON written to %s (%zu points)\n", path_.c_str(),
-              points_.size());
+  out << "  ]\n}\n";
+  out.close();  // a failed open, write or flush leaves `out` failed
+  if (!out || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::fprintf(stderr, "JsonReport: cannot write %s: %s\n", path.c_str(),
+                 std::strerror(errno));
+    std::remove(tmp.c_str());
+    return false;
+  }
+  std::printf("JSON written to %s (%zu points)\n", path.c_str(),
+              points.size());
+  return true;
 }
 
 }  // namespace bohm

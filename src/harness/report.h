@@ -1,9 +1,8 @@
-// Result reporting for the figure/table benchmarks: aligned
-// human-readable rows on stdout (the "same rows/series the paper reports")
-// plus a full machine-readable JSON dump (throughput, latency percentiles
-// and every registered statistic per measurement point) via
-// BOHM_BENCH_JSON=<path> — the format behind the committed BENCH_*.json
-// perf-trajectory snapshots at the repo root.
+// Result reporting for the experiment runner: aligned human-readable rows
+// on stdout plus a full machine-readable JSON dump (throughput, latency
+// percentiles and every registered statistic per measurement point) —
+// the format behind the committed BENCH_*.json perf-trajectory snapshots
+// at the repo root.
 #pragma once
 
 #include <cstdint>
@@ -34,41 +33,31 @@ class Report {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Machine-readable benchmark output. When the BOHM_BENCH_JSON
-/// environment variable names a file, Write() emits every measurement
-/// point a figure binary produced — parameters, seconds, throughput,
-/// abort rate, the full latency profile (count/mean/p50/p99/p999/max in
-/// microseconds), and one key per kStatFields row (src/common/stats.h) —
-/// as one JSON object per line, so shell tools can assert on points
-/// without a JSON parser. No-op when the variable is unset, so the
-/// human-readable tables stay the default.
-class JsonReport {
- public:
-  /// One (name, value) pair per swept parameter, e.g. {"threads", "4"}.
-  using Params = std::vector<std::pair<std::string, std::string>>;
+/// (key, value) pairs: swept parameters, or measured values.
+using Params = std::vector<std::pair<std::string, std::string>>;
 
-  explicit JsonReport(std::string figure);
+/// Every measured value of one point in JSON order and format: seconds,
+/// tput_txns_per_sec, abort_rate, the latency profile (lat_count,
+/// lat_mean_us, p50_us, p99_us, p999_us, max_us), then one pair per
+/// kStatFields row (src/common/stats.h).
+Params PointFields(const BenchResult& r);
 
-  bool enabled() const { return !path_.empty(); }
-
-  /// Records one measurement point. Cheap no-op when disabled.
-  void AddPoint(Params params, const std::string& system,
-                const BenchResult& r);
-
-  /// Writes the accumulated points to $BOHM_BENCH_JSON (no-op when
-  /// disabled). Call once at the end of main().
-  void Write() const;
-
- private:
+/// The measured points of one experiment. Write() emits each point's
+/// parameters, then its PointFields, as one JSON object per line, so
+/// line-oriented tools can assert on points without a JSON parser.
+struct JsonReport {
   struct Point {
     Params params;
     std::string system;
     BenchResult result;
   };
+  std::string figure;
+  std::vector<Point> points = {};
 
-  std::string figure_;
-  std::string path_;
-  std::vector<Point> points_;
+  /// Writes the points to `path` through a temporary file renamed into
+  /// place, so an interrupted run never leaves a truncated file behind.
+  /// Returns false (after printing why) if any step fails.
+  bool Write(const std::string& path) const;
 };
 
 }  // namespace bohm

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/arena.h"
-#include "common/env.h"
 #include "common/hash.h"
 #include "common/rand.h"
 #include "common/stable_buffer.h"
@@ -199,46 +198,6 @@ TEST(StatsTest, ToStringMentionsFields) {
   StatsSnapshot s;
   s.commits = 3;
   EXPECT_NE(s.ToString().find("commits=3"), std::string::npos);
-}
-
-// ---------- Env ----------
-
-TEST(EnvTest, Int64Default) {
-  ::unsetenv("BOHM_TEST_ENV_X");
-  EXPECT_EQ(EnvInt64("BOHM_TEST_ENV_X", 42), 42);
-}
-
-TEST(EnvTest, Int64Parses) {
-  ::setenv("BOHM_TEST_ENV_X", "123", 1);
-  EXPECT_EQ(EnvInt64("BOHM_TEST_ENV_X", 42), 123);
-  ::unsetenv("BOHM_TEST_ENV_X");
-}
-
-TEST(EnvTest, Int64BadFallsBack) {
-  ::setenv("BOHM_TEST_ENV_X", "abc", 1);
-  EXPECT_EQ(EnvInt64("BOHM_TEST_ENV_X", 42), 42);
-  ::unsetenv("BOHM_TEST_ENV_X");
-}
-
-TEST(EnvTest, IntList) {
-  ::setenv("BOHM_TEST_ENV_L", "1,2,8", 1);
-  std::vector<int> v = EnvIntList("BOHM_TEST_ENV_L", {});
-  ASSERT_EQ(v.size(), 3u);
-  EXPECT_EQ(v[2], 8);
-  ::unsetenv("BOHM_TEST_ENV_L");
-}
-
-TEST(EnvTest, IntListDefault) {
-  ::unsetenv("BOHM_TEST_ENV_L");
-  std::vector<int> v = EnvIntList("BOHM_TEST_ENV_L", {4, 5});
-  ASSERT_EQ(v.size(), 2u);
-  EXPECT_EQ(v[0], 4);
-}
-
-TEST(EnvTest, DoubleParses) {
-  ::setenv("BOHM_TEST_ENV_D", "0.9", 1);
-  EXPECT_DOUBLE_EQ(EnvDouble("BOHM_TEST_ENV_D", 0.0), 0.9);
-  ::unsetenv("BOHM_TEST_ENV_D");
 }
 
 }  // namespace

@@ -11,12 +11,12 @@
 #include <string>
 #include <vector>
 
+#include "common/rand.h"
 #include "harness/driver.h"
 #include "harness/engines.h"
 #include "harness/report.h"
-#include "harness/sweep.h"
+#include "harness/point.h"
 #include "test_util.h"
-#include "workload/micro.h"
 
 namespace bohm {
 namespace {
@@ -136,18 +136,10 @@ TEST(SweepTest, BohmSplitCoversCases) {
   EXPECT_GE(c0.exec_threads, 1u);
 }
 
-TEST(SweepTest, EnvOverridesThreads) {
-  ::setenv("BOHM_BENCH_THREADS", "3,9", 1);
-  auto v = BenchThreads();
-  ASSERT_EQ(v.size(), 2u);
-  EXPECT_EQ(v[1], 9);
-  ::unsetenv("BOHM_BENCH_THREADS");
-}
-
 TEST(SweepTest, ScanSizeClampedToHalfTable) {
-  ::unsetenv("BOHM_BENCH_SCAN_SIZE");
-  EXPECT_EQ(BenchScanSize(1'000'000), 10'000u);
-  EXPECT_EQ(BenchScanSize(100), 50u);
+  EXPECT_EQ(ClampScanSize(10'000, 1'000'000), 10'000u);
+  EXPECT_EQ(ClampScanSize(10'000, 100), 50u);
+  EXPECT_EQ(ClampScanSize(10'000, 1), 1u);
 }
 
 TEST(ReportTest, FormatTput) {
@@ -209,10 +201,7 @@ std::vector<std::pair<std::string, std::string>> ParsePoint(
 TEST(ReportTest, JsonPointCarriesEveryRegisteredKey) {
   const std::string path = ::testing::TempDir() + "harness_test_report_" +
                            std::to_string(::getpid()) + ".json";
-  ::setenv("BOHM_BENCH_JSON", path.c_str(), 1);
-  JsonReport report("unit");
-  ::unsetenv("BOHM_BENCH_JSON");
-  ASSERT_TRUE(report.enabled());
+  JsonReport report{.figure = "unit"};
 
   BenchResult r;
   r.seconds = 2.0;
@@ -227,8 +216,9 @@ TEST(ReportTest, JsonPointCarriesEveryRegisteredKey) {
   for (int i = 0; i < 100; ++i) r.latency_us.Record(10);
   EXPECT_DOUBLE_EQ(r.Throughput(), 50.0);
   EXPECT_DOUBLE_EQ(r.AbortRate(), 0.5);
-  report.AddPoint({{"threads", "1"}, {"theta", "0.9"}}, "Bohm", r);
-  report.Write();
+  r.gc_freed = 6;
+  report.points.push_back({{{"threads", "1"}, {"theta", "0.9"}}, "Bohm", r});
+  ASSERT_TRUE(report.Write(path));
 
   std::ifstream in(path);
   ASSERT_TRUE(in.good()) << path;
@@ -255,7 +245,7 @@ TEST(ReportTest, JsonPointCarriesEveryRegisteredKey) {
       "p99_us",        "p999_us",       "max_us",       "seq_stall_us",
       "cc_stall_us",   "exec_stall_us", "log_stall_us", "log_bytes",
       "log_records",   "fsyncs",        "cc_migrations", "cc_imbalance",
-      "retries",       "reads",         "writes"};
+      "retries",       "reads",         "writes",       "gc_freed"};
   std::sort(keys.begin(), keys.end());
   std::sort(want.begin(), want.end());
   EXPECT_EQ(keys, want);
@@ -272,9 +262,23 @@ TEST(ReportTest, JsonPointCarriesEveryRegisteredKey) {
   EXPECT_EQ(values["writes"], "20");
   EXPECT_EQ(values["retries"], "4");
   EXPECT_EQ(values["fsyncs"], "9");
+  EXPECT_EQ(values["gc_freed"], "6");
   EXPECT_DOUBLE_EQ(std::stod(values["seq_stall_us"]), 2.5);
   EXPECT_DOUBLE_EQ(std::stod(values["cc_stall_us"]), 0.0);
   EXPECT_DOUBLE_EQ(std::stod(values["cc_imbalance"]), 1.25);
+}
+
+// An unwritable path is reported, not silently dropped, and leaves
+// neither the target nor the temporary file behind.
+TEST(ReportTest, WriteToUnwritablePathFails) {
+  const std::string dir = ::testing::TempDir() + "harness_test_missing_" +
+                          std::to_string(::getpid());
+  const std::string path = dir + "/BENCH_unit.json";
+  JsonReport report{.figure = "unit"};
+  report.points.push_back({{{"threads", "1"}}, "Bohm", BenchResult{}});
+  EXPECT_FALSE(report.Write(path));
+  EXPECT_FALSE(std::ifstream(path).good());
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
 }
 
 TEST(EngineFactoryTest, NamesMatch) {

@@ -5,7 +5,6 @@
 #include <map>
 #include <set>
 
-#include "workload/micro.h"
 #include "workload/smallbank.h"
 #include "workload/ycsb.h"
 
@@ -124,25 +123,6 @@ TEST(YcsbTest, SkewConcentratesKeys) {
   int hottest = 0;
   for (auto& [k, c] : counts) hottest = std::max(hottest, c);
   EXPECT_GT(hottest, 100);
-}
-
-// ---------- Micro ----------
-
-TEST(MicroTest, CatalogIsEightByte) {
-  MicroConfig cfg;
-  cfg.record_count = 100;
-  Catalog c = MicroCatalog(cfg);
-  EXPECT_EQ(c.Find(kYcsbTableId)->record_size, 8u);
-}
-
-TEST(MicroTest, GeneratorProducesNRmws) {
-  MicroConfig cfg;
-  cfg.record_count = 1000;
-  cfg.ops_per_txn = 10;
-  MicroGenerator gen(cfg, 7);
-  ProcedurePtr p = gen.Make();
-  EXPECT_EQ(p->rwset().writes().size(), 10u);
-  EXPECT_EQ(p->rwset().reads().size(), 10u);
 }
 
 // ---------- SmallBank ----------
