@@ -42,20 +42,19 @@ struct Batch {
   std::vector<ProcedurePtr> procs;
   /// Holds the BohmTxn objects and their read/write ref arrays.
   Arena arena{1u << 16};
-  /// Partition-map stamp (rule R7): the owner array (partition -> CC
-  /// thread) this batch was sequenced under. Written by the sequencer
-  /// before the feed push (a plain store riding the R5 release edge); CC
-  /// threads route every read/write-set element by
-  /// owners[PartitionOf(key)]. The pointed-to array outlives the batch:
-  /// map versions are retired only after the execution watermark passes
-  /// their last stamped batch.
-  const uint32_t* owners = nullptr;
+  /// The partition map (partition -> CC thread) this batch was sequenced
+  /// under, copied in by the sequencer before the feed push (plain stores
+  /// riding the R5 release edge; rule R7). CC threads route every
+  /// read/write-set element by owners[PartitionOf(key)]. The copy belongs
+  /// to the slot, so it is recycled with it (rule R8) and keeps its
+  /// capacity across reuses.
+  std::vector<uint32_t> owners;
 
   void ResetForReuse() {
     txns.clear();
     procs.clear();
     arena.Reset();
-    owners = nullptr;
+    owners.clear();
   }
 };
 

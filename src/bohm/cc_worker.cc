@@ -83,11 +83,10 @@ void BohmEngine::CcProcessTxn(uint32_t cc_id, BohmTxn* txn, int64_t batch_id) {
   CcState& st = *cc_state_[cc_id];
   // Route by the batch's partition map, not by thread id: the physical
   // partition (static hash) selects the index shard, the map says whether
-  // this thread currently owns it (rule R7). The owners array was
-  // published by the feed push (rule R5) and stays alive until the batch
-  // is fully executed.
+  // this thread currently owns it (rule R7). The batch's owners copy was
+  // published by the feed push (rule R5) and lives as long as its slot.
   const Batch* batch = ring_.Slot(batch_id);
-  const uint32_t* owners = batch->owners;
+  const uint32_t* owners = batch->owners.data();
   RelaxedCounter* touch = st.touch.get();
 
   // Reads first: the annotation must reference the version that precedes

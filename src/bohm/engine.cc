@@ -61,15 +61,8 @@ BohmEngine::BohmEngine(const Catalog& catalog, BohmConfig cfg)
                                             : cfg_.pipeline_depth);
   for (uint32_t i = 0; i < cfg_.cc_threads; ++i) {
     cc_state_.push_back(std::make_unique<CcState>());
-    cc_state_.back()->alloc.set_owner(i);
     cc_state_.back()->touch =
         std::make_unique<RelaxedCounter[]>(db_.partitions());
-    // Handback ring for versions this thread allocated but a later owner
-    // of the partition retires. Sized for the transient after a migration
-    // (one foreign retiree per migrated record on its first supersede);
-    // producers spill locally and retry when full.
-    cc_state_.back()->handback =
-        std::make_unique<MpmcQueue<std::pair<Version*, int64_t>>>(1024);
     cc_feed_.push_back(std::make_unique<SpscQueue<int64_t>>(feed_capacity));
     cc_stall_.push_back(std::make_unique<StallSlot>());
   }
@@ -104,10 +97,11 @@ Status BohmEngine::Load(TableId table, Key key, const void* payload) {
   if (t->Find(part, key) != nullptr) {
     return Status::InvalidArgument("duplicate key in load");
   }
-  // Allocate from the partition's *initial owner* so the allocator stamp
-  // matches the thread that would have created the version (GC hands
-  // retirees back to the allocating thread's free lists).
-  const uint32_t owner = repart_->current()->owners[part];
+  // Allocate from the partition's initial owner (the controller's
+  // p % cc_threads rule), which spreads the loaded versions' arena memory
+  // over the CC threads. Any allocator would do: a superseded version is
+  // recycled by whichever thread retires it.
+  const uint32_t owner = part % cfg_.cc_threads;
   Version* v = cc_state_[owner]->alloc.Alloc(table, record_sizes_[table]);
   v->begin_ts = kLoadTs;
   if (payload != nullptr) {

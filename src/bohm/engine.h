@@ -290,13 +290,6 @@ class BohmEngine final : public Engine {
     /// watermark/feed edges, so a slot never has two concurrent writers.
     /// The sequencer folds them between batches.
     std::unique_ptr<RelaxedCounter[]> touch;
-    /// Retirees allocated by this thread but retired by another (the
-    /// partition migrated in between): producers TryPush here, the owner
-    /// drains into `retired`.
-    std::unique_ptr<MpmcQueue<std::pair<Version*, int64_t>>> handback;
-    /// Producer-side spill when a handback ring is momentarily full;
-    /// retried on this thread's next DrainRetired (never blocks CC).
-    std::deque<std::pair<Version*, int64_t>> handback_spill;
   };
   /// Single-writer wall-clock stall accumulator, one per pipeline thread
   /// (padded so stall accounting never shares a line across threads).

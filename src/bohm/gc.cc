@@ -10,8 +10,8 @@
 namespace bohm {
 
 // Thread-safety: `retired` and `alloc` are plain (unlocked) members of
-// CcState because each is touched only by the one CC thread that owns the
-// partition (docs/CONCURRENCY.md, "single-writer ownership"). Watermark()
+// CcState because each is touched only by its own CC thread
+// (docs/CONCURRENCY.md, "single-writer ownership"). Watermark()
 // folds the per-thread *execution* watermarks (release-published), so
 // every version at or below the watermark is quiescent by the time it is
 // freed here. This composes with the streamed CC stage's own watermarks:
@@ -21,39 +21,18 @@ namespace bohm {
 // an execution thread might still read, and slot reuse (keyed on the
 // exec pins, which never pass Watermark(); rule R8) can never recycle a
 // batch a CC thread is still inside.
-// Allocator routing (rule R7): free lists are single-threaded, so a
-// version must return to the thread that allocated it. Until a
-// partition migrates the retiring thread *is* the allocator. After a
-// partition migration the first supersede of each migrated record retires
-// a version the old owner allocated; it is handed back through the
-// allocator's MPSC ring (producers: any CC thread; consumer: the
-// allocator's own DrainRetired). A full ring spills to a producer-local
-// deque retried next batch — retirement never blocks the CC hot path.
+// Migration (rule R7) needs nothing extra here: after a partition moves,
+// its new owner retires versions the old owner allocated and frees them
+// into its own pool. Free lists are per table, and arena memory lives as
+// long as the engine, so a version may end its life in any thread's pool.
+// Each `retired` deque is filled in batch order by its own thread, so
+// draining stops at the first entry the watermark has not yet passed.
 void BohmEngine::RetireVersion(uint32_t cc_id, Version* v, int64_t batch_id) {
-  CcState& st = *cc_state_[cc_id];
-  if (v->allocator == cc_id) {
-    st.retired.emplace_back(v, batch_id);
-    return;
-  }
-  if (!cc_state_[v->allocator]->handback->TryPush({v, batch_id})) {
-    st.handback_spill.emplace_back(v, batch_id);
-  }
+  cc_state_[cc_id]->retired.emplace_back(v, batch_id);
 }
 
 void BohmEngine::DrainRetired(uint32_t cc_id) {
   CcState& st = *cc_state_[cc_id];
-  // Retry spilled handbacks (each targets its version's allocator).
-  while (!st.handback_spill.empty()) {
-    const auto& e = st.handback_spill.front();
-    if (!cc_state_[e.first->allocator]->handback->TryPush(e)) break;
-    st.handback_spill.pop_front();
-  }
-  // Adopt foreign-retired versions of our own making. They may arrive
-  // out of batch order relative to the local deque; entries are freed
-  // only when the watermark has passed their batch, so a late arrival is
-  // merely freed a little later — never prematurely.
-  std::pair<Version*, int64_t> e;
-  while (st.handback->TryPop(&e)) st.retired.push_back(e);
   if (st.retired.empty()) return;
   const int64_t watermark = Watermark();
   while (!st.retired.empty() && st.retired.front().second <= watermark) {

@@ -14,19 +14,13 @@ RepartitionController::RepartitionController(uint32_t partitions,
       last_totals_(partitions_, 0),
       delta_scratch_(partitions_, 0),
       load_scratch_(cc_threads_, 0) {
-  auto initial = std::make_unique<PartitionMapVersion>();
-  initial->epoch = 0;
-  initial->owners.resize(partitions_);
-  for (uint32_t p = 0; p < partitions_; ++p) {
-    initial->owners[p] = p % cc_threads_;
-  }
-  current_ = initial.get();
-  versions_.push_back(std::move(initial));
+  owners_.resize(partitions_);
+  for (uint32_t p = 0; p < partitions_; ++p) owners_[p] = p % cc_threads_;
 }
 
-const PartitionMapVersion* RepartitionController::MapForBatch(
+const std::vector<uint32_t>& RepartitionController::MapForBatch(
     int64_t id, const WatermarkSet& cc_watermark) {
-  if (pending_ != nullptr) {
+  if (!pending_.empty()) {
     // Gate: every thread that loses a partition must have finished all
     // batches sealed under the old map (ids < id). Its watermark Advance
     // is a release store ordered after its head stores for the migrated
@@ -41,14 +35,12 @@ const PartitionMapVersion* RepartitionController::MapForBatch(
     }
     if (ready) PromotePending();
   }
-  current_->last_batch = id;
-  return current_;
+  return owners_;
 }
 
 void RepartitionController::PromotePending() {
-  pending_->epoch = current_->epoch + 1;
-  current_ = pending_.get();
-  versions_.push_back(std::move(pending_));
+  owners_.swap(pending_);
+  pending_.clear();
   pending_sources_.clear();
   // relaxed: sequencer is the single writer of these monitors, so the
   // read-back of its own last value needs no ordering; the release store
@@ -56,7 +48,8 @@ void RepartitionController::PromotePending() {
   migrations_.store(migrations_.load(std::memory_order_relaxed) +
                         pending_moves_,
                     std::memory_order_release);
-  epoch_.store(current_->epoch, std::memory_order_release);
+  epoch_.store(epoch_.load(std::memory_order_relaxed) + 1,
+               std::memory_order_release);
   pending_moves_ = 0;
 }
 
@@ -69,7 +62,7 @@ void RepartitionController::Observe(const std::vector<uint64_t>& touch_totals) {
   for (uint32_t p = 0; p < partitions_; ++p) {
     const uint64_t delta = touch_totals[p] - last_totals_[p];
     delta_scratch_[p] = delta;
-    load_scratch_[current_->owners[p]] += delta;
+    load_scratch_[owners_[p]] += delta;
     total += delta;
   }
   last_totals_ = touch_totals;
@@ -90,17 +83,15 @@ void RepartitionController::Observe(const std::vector<uint64_t>& touch_totals) {
   }
 
   if (!cfg_.enabled || cc_threads_ < 2) return;
-  if (pending_ != nullptr) return;  // one migration in flight at a time
+  if (!pending_.empty()) return;  // one migration in flight at a time
 
   if (cfg_.force_rotate) {
     // Test mode: shift every partition to the next thread. Every thread
     // is a source, so the promotion gate must observe all of them.
-    auto next = std::make_unique<PartitionMapVersion>();
-    next->owners.resize(partitions_);
+    pending_.resize(partitions_);
     for (uint32_t p = 0; p < partitions_; ++p) {
-      next->owners[p] = (current_->owners[p] + 1) % cc_threads_;
+      pending_[p] = (owners_[p] + 1) % cc_threads_;
     }
-    pending_ = std::move(next);
     pending_sources_.clear();
     for (uint32_t t = 0; t < cc_threads_; ++t) pending_sources_.push_back(t);
     pending_moves_ = partitions_;
@@ -119,7 +110,7 @@ void RepartitionController::Observe(const std::vector<uint64_t>& touch_totals) {
   // mega-hot partition that dominates its thread stays put — moving it
   // would just relocate the bottleneck; its *cold siblings* move away
   // instead, which is what actually unloads the thread).
-  std::vector<uint32_t> owners = current_->owners;
+  std::vector<uint32_t> owners = owners_;
   std::vector<uint64_t> loads = load_scratch_;
   uint32_t moves = 0;
   std::vector<uint32_t> sources;
@@ -155,23 +146,11 @@ void RepartitionController::Observe(const std::vector<uint64_t>& touch_totals) {
   }
   if (moves == 0) return;
 
-  auto next = std::make_unique<PartitionMapVersion>();
-  next->owners = std::move(owners);
-  pending_ = std::move(next);
+  pending_ = std::move(owners);
   std::sort(sources.begin(), sources.end());
   sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
   pending_sources_ = std::move(sources);
   pending_moves_ = moves;
-}
-
-void RepartitionController::Prune(int64_t exec_watermark) {
-  // The front is retired once a newer map exists and no batch stamped
-  // with it can still be in flight (exec watermark implies the CC
-  // watermark, so no CC thread is inside any batch <= last_batch).
-  while (versions_.size() > 1 &&
-         versions_.front()->last_batch <= exec_watermark) {
-    versions_.pop_front();
-  }
 }
 
 }  // namespace bohm

@@ -15,9 +15,11 @@
 // changes (the paper's static assignment).
 //
 // Safety (docs/CONCURRENCY.md rule R7):
-//  * Each sealed Batch is stamped with a pointer to the map it was
-//    sequenced under; the stamp rides the feed-push release edge (rule
-//    R5), so a CC thread popping the batch sees a fully-built map.
+//  * Each sealed Batch carries its own copy of the owner array, written by
+//    the sequencer before the feed push; the copy rides the feed-push
+//    release edge (rule R5), so a CC thread popping the batch sees it
+//    fully built. The copy lives and dies with its batch slot (rule R8),
+//    so no map ever has to be retired.
 //  * A migration takes effect only once the sequencer has observed every
 //    *source* thread's cc_watermark pass the last batch sealed under the
 //    old map. The old owner's head stores happen before its watermark
@@ -25,15 +27,10 @@
 //    next feed push (release); the new owner's pop (acquire) therefore
 //    sees every version the old owner installed. Until the gate opens,
 //    batches keep sealing under the old map — the sequencer never waits.
-//  * Retired map versions are freed only after the execution watermark
-//    passes their last stamped batch (exec <= cc, so no CC thread can
-//    still be reading them).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <vector>
 
 #include "common/macros.h"
@@ -58,53 +55,34 @@ struct AdaptiveCcConfig {
   double max_imbalance = 1.25;
   /// Test knob: rotate every partition's owner by one thread at each
   /// interval regardless of load, forcing the migration machinery (map
-  /// promotion gate, cross-thread handoff, GC allocator routing) to run
-  /// constantly. Takes effect only with `enabled`. Never useful in
+  /// promotion gate, cross-thread handoff, GC of versions another thread
+  /// allocated) to run constantly. Takes effect only with `enabled`. Never useful in
   /// production.
   bool force_rotate = false;
-};
-
-/// One immutable version of the partition -> owner-thread map. `owners`
-/// is never mutated after the version becomes current; CC threads read it
-/// through the batch stamp (plain loads, published by the feed push).
-struct PartitionMapVersion {
-  uint64_t epoch = 0;
-  /// Highest batch id sealed under this map (sequencer-private; drives
-  /// retirement).
-  int64_t last_batch = -1;
-  std::vector<uint32_t> owners;  // partition -> CC thread
 };
 
 /// Sequencer-owned controller for the partition map. Every method except
 /// the const monitors must be called from the sequencer thread only.
 class RepartitionController {
  public:
-  /// The initial assignment is owners[p] = p % cc_threads; Load() uses the
-  /// same rule, so pre-loaded versions are allocated by their first owner.
+  /// The initial assignment is owners[p] = p % cc_threads.
   RepartitionController(uint32_t partitions, uint32_t cc_threads,
                         const AdaptiveCcConfig& cfg);
   BOHM_DISALLOW_COPY_AND_ASSIGN(RepartitionController);
 
-  /// Returns the map to stamp on batch `id`, promoting a pending
-  /// migration first if its watermark gate has opened: every source
-  /// thread's cc watermark must have passed id - 1 (i.e. the old owner
-  /// finished every batch sealed under the old map). Records `id` as the
-  /// map's last stamped batch. Sequencer thread only.
-  const PartitionMapVersion* MapForBatch(int64_t id,
-                                         const WatermarkSet& cc_watermark);
+  /// Returns the owner array (partition -> CC thread) to copy into batch
+  /// `id`, promoting a pending migration first if its watermark gate has
+  /// opened: every source thread's cc watermark must have passed id - 1
+  /// (i.e. the old owner finished every batch sealed under the old map).
+  /// Sequencer thread only.
+  const std::vector<uint32_t>& MapForBatch(int64_t id,
+                                           const WatermarkSet& cc_watermark);
 
   /// Feeds the controller one fold of the cumulative per-partition touch
   /// counters: updates the imbalance gauge and, when migration is
   /// enabled, may create a pending migration. Call every
   /// `interval_batches` sealed batches. Sequencer thread only.
   void Observe(const std::vector<uint64_t>& touch_totals);
-
-  /// Frees retired map versions whose last stamped batch the execution
-  /// watermark has passed. Sequencer thread only.
-  void Prune(int64_t exec_watermark);
-
-  /// Current map (sequencer thread, or any thread before Start()).
-  const PartitionMapVersion* current() const { return current_; }
 
   // --- cross-thread monitors (any thread) ---
   /// Partitions moved across all promoted migrations (monotone).
@@ -126,14 +104,13 @@ class RepartitionController {
   const uint32_t cc_threads_;
   const AdaptiveCcConfig cfg_;
 
-  /// All map versions ever promoted, oldest first; back() is current.
-  /// Retired versions stay until Prune() proves no reader remains.
-  std::deque<std::unique_ptr<PartitionMapVersion>> versions_;
-  PartitionMapVersion* current_ = nullptr;
+  /// Current map: partition -> CC thread.
+  std::vector<uint32_t> owners_;
 
-  /// Pending migration awaiting its watermark gate, plus the threads that
-  /// lose partitions in it (the gate applies to those only).
-  std::unique_ptr<PartitionMapVersion> pending_;
+  /// Pending migration awaiting its watermark gate (empty when none is
+  /// staged), plus the threads that lose partitions in it (the gate
+  /// applies to those only).
+  std::vector<uint32_t> pending_;
   std::vector<uint32_t> pending_sources_;
   uint32_t pending_moves_ = 0;
 

@@ -120,14 +120,13 @@ void BohmEngine::SequencerLoop() {
           // transaction, so an idle sequencer consults the promotion gate
           // (every source thread's cc watermark past id - 1) only after
           // CC has caught up. At the fold cadence the controller updates
-          // the imbalance gauge and may stage a migration; Prune retires
-          // map versions no in-flight batch can still reference.
+          // the imbalance gauge and may stage a migration. The batch gets
+          // its own copy of the map, which its slot owns (rule R8).
           const auto interval =
               static_cast<int64_t>(cfg_.adaptive.interval_batches);
           if (id > 0 && id % interval == 0) FoldTouchCounters();
-          owners = repart_->MapForBatch(id, cc_watermark_)->owners.data();
-          batch->owners = owners;
-          repart_->Prune(Watermark());
+          batch->owners = repart_->MapForBatch(id, cc_watermark_);
+          owners = batch->owners.data();
         }
         StoredProcedure* raw = item.proc;
         if (item.owned) batch->procs.emplace_back(raw);

@@ -45,12 +45,6 @@ struct Version {
   std::atomic<uint32_t> flags{0};
   /// Table the version belongs to; selects the allocator size class.
   TableId table = 0;
-  /// CC thread whose VersionAllocator produced this version. With
-  /// adaptive repartitioning the retiring thread may differ from the
-  /// allocating one (the partition migrated in between); GC routes the
-  /// retiree back to this thread's free lists (src/bohm/gc.cc). Stamped
-  /// by Alloc, immutable afterwards.
-  uint32_t allocator = 0;
   /// The transaction that must be evaluated to obtain the data
   /// (Figure 3's "Txn Pointer"); nullptr for loaded versions.
   BohmTxn* producer = nullptr;
@@ -72,24 +66,21 @@ struct Version {
 /// Thread-local version allocator with one free list per table (versions
 /// are fixed-size per table). The GC (Section 3.3.2) recycles versions
 /// through these free lists, so steady-state version turnover performs no
-/// malloc/free and no cross-thread memory traffic: a version is always
-/// allocated, retired, and recycled by the same CC thread.
+/// malloc/free and no cross-thread memory traffic: a CC thread frees what
+/// it retires into its own allocator and reuses it from there. A version
+/// need not come back to the allocator that made it — after a partition
+/// migration the retiring thread keeps the old owner's version — because
+/// free lists are per table and arena memory lives as long as the engine.
 class VersionAllocator {
  public:
-  explicit VersionAllocator(size_t arena_block_bytes = Arena::kDefaultBlockBytes)
-      : arena_(arena_block_bytes) {}
+  VersionAllocator() = default;
   BOHM_DISALLOW_COPY_AND_ASSIGN(VersionAllocator);
-
-  /// Id of the CC thread that owns this allocator, stamped into every
-  /// version it produces (Version::allocator). Set once at engine
-  /// construction, before any Alloc.
-  void set_owner(uint32_t owner) { owner_ = owner; }
 
   /// Allocates a version with `record_size` payload bytes for `table`.
   Version* Alloc(TableId table, uint32_t record_size);
 
-  /// Returns a version to the per-table free list. The caller must own the
-  /// version (same-thread discipline).
+  /// Returns a version of any allocator to this allocator's per-table
+  /// free list. Only the thread that owns this allocator may call it.
   void Free(Version* v);
 
   /// Number of versions currently parked on free lists (test hook).
@@ -98,7 +89,6 @@ class VersionAllocator {
 
  private:
   Arena arena_;
-  uint32_t owner_ = 0;
   std::vector<std::vector<Version*>> free_lists_;  // indexed by table id
 };
 

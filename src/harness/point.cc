@@ -36,10 +36,11 @@ std::unique_ptr<Engine> MakePointEngine(const PointSpec& p,
   if (p.log != LogMode::kOff) {
     cfg.durability.enabled = true;
     cfg.durability.dir = log_dir;
-    cfg.durability.fsync_policy =
-        p.log == LogMode::kFsyncNone    ? FsyncPolicy::kNone
-        : p.log == LogMode::kFsyncBatch ? FsyncPolicy::kBatch
-                                        : FsyncPolicy::kGroup;  // of 8
+    cfg.durability.fsync_policy = p.log == LogMode::kFsyncNone
+                                      ? FsyncPolicy::kNone
+                                      : FsyncPolicy::kGroup;
+    // Group commit of 8, or of 1 (an fsync after every batch record).
+    if (p.log == LogMode::kFsyncBatch) cfg.durability.group_size = 1;
   }
   return std::make_unique<BohmEngine>(catalog, cfg);
 }

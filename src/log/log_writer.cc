@@ -4,20 +4,6 @@
 
 namespace bohm {
 
-const char* FsyncPolicyName(FsyncPolicy policy) {
-  switch (policy) {
-    case FsyncPolicy::kNone:
-      return "none";
-    case FsyncPolicy::kBatch:
-      return "batch";
-    case FsyncPolicy::kGroup:
-      return "group";
-    case FsyncPolicy::kInterval:
-      return "interval";
-  }
-  return "unknown";
-}
-
 LogWriter::LogWriter(BatchLog* log, const LogWriterOptions& opts,
                      IdleEvent* idle)
     : log_(log), opts_(opts), idle_(idle), queue_(kQueueCapacity) {}
@@ -126,9 +112,6 @@ void LogWriter::WriterLoop() {
           durable_seqno_.store(p.seqno, std::memory_order_release);
           idle_->Notify();
           unsynced = 0;
-          break;
-        case FsyncPolicy::kBatch:
-          sync_now();
           break;
         case FsyncPolicy::kGroup:
           if (unsynced >= opts_.group_size) sync_now();

@@ -39,12 +39,10 @@ namespace bohm {
 /// When the log writer calls fsync.
 enum class FsyncPolicy {
   kNone,      // never (OS decides); "durable" means handed to the kernel
-  kBatch,     // after every batch record — strongest, slowest
-  kGroup,     // after `group_size` records, or when the ring runs dry
+  kGroup,     // after `group_size` records (1 = every batch record, the
+              // strongest and slowest), or when the ring runs dry
   kInterval,  // at most every `interval_us` microseconds
 };
-
-const char* FsyncPolicyName(FsyncPolicy policy);
 
 struct LogWriterOptions {
   FsyncPolicy policy = FsyncPolicy::kGroup;

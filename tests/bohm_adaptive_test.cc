@@ -10,8 +10,9 @@
 //      under the old map (frozen via test hook, the map epoch stays put);
 //  (c) the machinery actually runs when it should — skewed traffic
 //      triggers migrations (and, with migration off, none but a gauge
-//      that reports the skew), and GC routes foreign retirees back to
-//      their allocating thread (freed counters move, state stays right);
+//      that reports the skew), and a CC thread recycles what it retires
+//      even when another thread allocated it (freed counters move, state
+//      stays right);
 //  (d) configuration edges are rejected up front — Start() refuses an
 //      interest mask wider than 64 bits and a partition count below the
 //      CC thread count, instead of shifting out of range at runtime.
@@ -376,11 +377,11 @@ INSTANTIATE_TEST_SUITE_P(MigrationOnOff, AdaptiveSkewTest,
                          });
 
 // ---------------------------------------------------------------------------
-// (c) GC routes retirees freed by a foreign thread back to the allocating
-// thread (allocator stamp + handback ring), with migrations churning.
+// (c) A CC thread recycles every version it retires into its own pool,
+// including versions another thread allocated, with migrations churning.
 // ---------------------------------------------------------------------------
 
-TEST(AdaptiveGcTest, ForeignRetireesReturnToAllocatorAndStateStaysRight) {
+TEST(AdaptiveGcTest, ThreadRecyclesRetireesAllocatedElsewhereAndStateStaysRight) {
   BohmConfig cfg;
   cfg.cc_threads = 3;
   cfg.exec_threads = 2;
@@ -396,7 +397,7 @@ TEST(AdaptiveGcTest, ForeignRetireesReturnToAllocatorAndStateStaysRight) {
 
   // Hammer 8 keys: every overwrite retires the predecessor version, and
   // with ownership rotating every batch the retiring thread is usually
-  // not the allocator — the handback path runs constantly.
+  // not the allocator — it frees those versions into its own pool.
   constexpr int kTxns = 2000;
   for (int i = 0; i < kTxns; ++i) {
     ASSERT_TRUE(

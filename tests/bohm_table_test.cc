@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "bohm/txn_state.h"
 #include "bohm/version.h"
 
 namespace bohm {
@@ -238,6 +239,35 @@ TEST(VersionAllocatorTest, PerTableFreeLists) {
   Version* big2 = alloc.Alloc(1, 1000);
   EXPECT_EQ(big2, big);
   std::memset(big2->data(), 0xEE, 1000);  // fully usable
+}
+
+TEST(VersionAllocatorTest, FreeAcceptsVersionOfAnotherAllocator) {
+  // After a partition migration the retiring CC thread frees versions
+  // that another thread's allocator produced into its own pool.
+  VersionAllocator a;
+  VersionAllocator b;
+  BohmTxn producer;
+  Version* pred = a.Alloc(0, 8);
+  Version* v = a.Alloc(0, 8);
+  v->begin_ts = 7;
+  v->end_ts.store(9, std::memory_order_relaxed);
+  v->flags.store(kVersionReady | kVersionTombstone, std::memory_order_relaxed);
+  v->producer = &producer;
+  v->prev = pred;
+  const size_t a_free = a.FreeCount();
+
+  b.Free(v);
+  EXPECT_EQ(b.FreeCount(), 1u);
+  EXPECT_EQ(a.FreeCount(), a_free);  // nothing went back to the allocator
+  Version* again = b.Alloc(0, 8);
+  EXPECT_EQ(again, v);  // handed out again by the allocator it was freed to
+  EXPECT_EQ(b.FreeCount(), 0u);
+  EXPECT_EQ(again->begin_ts, kLoadTs);
+  EXPECT_EQ(again->end_ts.load(), kInfinityTs);
+  EXPECT_EQ(again->flags.load(), 0u);
+  EXPECT_EQ(again->producer, nullptr);
+  EXPECT_EQ(again->prev, nullptr);
+  EXPECT_EQ(a.FreeCount(), a_free);
 }
 
 TEST(VersionTest, PayloadContiguous) {
