@@ -128,7 +128,7 @@ void BM_MpmcQueueRoundTrip(benchmark::State& state) {
   MpmcQueue<uint64_t> q(1024);
   uint64_t v = 0;
   for (auto _ : state) {
-    q.Push(v);
+    benchmark::DoNotOptimize(q.TryPush(v));
     uint64_t out;
     benchmark::DoNotOptimize(q.TryPop(&out));
   }

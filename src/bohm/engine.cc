@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "common/affinity.h"
 #include "common/hash.h"
@@ -174,19 +175,24 @@ Status BohmEngine::Start() {
       cfg_.pin_threads &&
       ShouldPin(1 + cfg_.cc_threads + cfg_.exec_threads);
   unsigned cpu = 0;
+  // Each thread is named after its stage (bohm-seq, bohm-cc<i>,
+  // bohm-exec<i>), so per-thread CPU can be read per stage.
   threads_.emplace_back([this, pin, cpu] {
+    SetCurrentThreadName("bohm-seq");
     if (pin) PinCurrentThreadToCpu(cpu);
     SequencerLoop();
   });
   ++cpu;
   for (uint32_t i = 0; i < cfg_.cc_threads; ++i, ++cpu) {
     threads_.emplace_back([this, i, pin, cpu] {
+      SetCurrentThreadName("bohm-cc" + std::to_string(i));
       if (pin) PinCurrentThreadToCpu(cpu);
       CcLoop(i);
     });
   }
   for (uint32_t i = 0; i < cfg_.exec_threads; ++i, ++cpu) {
     threads_.emplace_back([this, i, pin, cpu] {
+      SetCurrentThreadName("bohm-exec" + std::to_string(i));
       if (pin) PinCurrentThreadToCpu(cpu);
       ExecLoop(i);
     });
@@ -274,18 +280,25 @@ Status BohmEngine::CheckSubmit(const StoredProcedure* proc) const {
 
 Status BohmEngine::Submit(ProcedurePtr proc) {
   BOHM_RETURN_NOT_OK(CheckSubmit(proc.get()));
-  submitted_.fetch_add(1, std::memory_order_acq_rel);
-  input_.Push(InputItem{proc.release(), /*owned=*/true, MonotonicNanos()});
-  idle_.Notify();
+  Enqueue(InputItem{proc.release(), /*owned=*/true, MonotonicNanos()});
   return Status::OK();
 }
 
 Status BohmEngine::SubmitBorrowed(StoredProcedure* proc) {
   BOHM_RETURN_NOT_OK(CheckSubmit(proc));
-  submitted_.fetch_add(1, std::memory_order_acq_rel);
-  input_.Push(InputItem{proc, /*owned=*/false, MonotonicNanos()});
-  idle_.Notify();
+  Enqueue(InputItem{proc, /*owned=*/false, MonotonicNanos()});
   return Status::OK();
+}
+
+// A full input queue is back-pressure: the sequencer drains it only as
+// batch slots free up behind execution, so the client parks through it
+// (rule R9). Every pop precedes a SealBatch, which notifies idle_.
+void BohmEngine::Enqueue(InputItem item) {
+  submitted_.fetch_add(1, std::memory_order_acq_rel);
+  while (!input_.TryPush(item)) {
+    idle_.Await([this] { return !input_.Full(); });
+  }
+  idle_.Notify();
 }
 
 Status BohmEngine::RunSync(ProcedurePtr proc) {

@@ -200,10 +200,11 @@ class BohmEngine final : public Engine {
   /// Idempotent; also run by the destructor.
   void Stop();
 
-  /// Hands a transaction to the sequencer. Blocks (yielding) when the
-  /// input queue is full. The engine assumes ownership and destroys the
-  /// procedure some time after it completes (when its batch slot is
-  /// recycled) — do not retain pointers into it.
+  /// Hands a transaction to the sequencer. Blocks when the input queue is
+  /// full: spins briefly, then parks until the sequencer pops. The engine
+  /// assumes ownership and destroys the procedure some time after it
+  /// completes (when its batch slot is recycled) — do not retain pointers
+  /// into it.
   ///
   /// Returns Rejected (never crashes the engine) when the transaction
   /// cannot be accepted: engine not running or shutting down, durable log
@@ -347,6 +348,9 @@ class BohmEngine final : public Engine {
     /// MonotonicNanos() at Submit(); becomes BohmTxn::submit_tick.
     uint64_t submit_tick = 0;
   };
+  /// Counts `item` as submitted and pushes it, parking while the input
+  /// queue is full; then wakes the sequencer.
+  void Enqueue(InputItem item);
 
   Catalog catalog_;
   BohmConfig cfg_;

@@ -98,12 +98,16 @@ void BohmEngine::SequencerLoop() {
     // only place the sequencer waits on downstream progress; the time
     // spent here is the sequencer's stall attribution. Pins advance only
     // in RefreshExecPin, which notifies idle_.
+    //
+    // This wait parks past the spin budget even though the pipeline is
+    // busy (an unreused slot means a sealed batch is not yet executed):
+    // depth - 1 sealed batches stand ahead of execution, so the wake is
+    // hidden behind them (rule R9).
     Batch* batch = ring_.Slot(id);
     const int64_t prev_occupant = id - static_cast<int64_t>(ring_.depth());
     if (exec_pin_.Min() < prev_occupant) {
       const uint64_t stall_start = MonotonicNanos();
-      idle_.Await([&] { return exec_pin_.Min() >= prev_occupant; },
-                  [this] { return PipelineBusy(); });
+      idle_.Await([&] { return exec_pin_.Min() >= prev_occupant; });
       seq_stall_.ns.Inc(MonotonicNanos() - stall_start);
     }
     batch->ResetForReuse();

@@ -26,6 +26,15 @@ bool PinCurrentThreadToCpu(unsigned cpu) {
 #endif
 }
 
+void SetCurrentThreadName(const std::string& name) {
+#if defined(__linux__)
+  // The kernel keeps 16 bytes, NUL included; longer names are refused.
+  (void)pthread_setname_np(pthread_self(), name.substr(0, 15).c_str());
+#else
+  (void)name;
+#endif
+}
+
 bool ShouldPin(unsigned threads) { return threads <= HardwareConcurrency(); }
 
 }  // namespace bohm

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 namespace bohm {
 
@@ -14,6 +15,10 @@ unsigned HardwareConcurrency();
 /// Pins the calling thread to `cpu` (modulo available CPUs). Returns true
 /// on success. No-op (returns false) on unsupported platforms.
 bool PinCurrentThreadToCpu(unsigned cpu);
+
+/// Names the calling thread (Linux: visible in /proc/self/task/*/comm and
+/// `top -H`; truncated to 15 bytes). No-op on other platforms.
+void SetCurrentThreadName(const std::string& name);
 
 /// Policy helper: returns true when an engine that wants `threads` pinned
 /// threads should actually pin them (i.e. there are at least that many

@@ -1,7 +1,7 @@
 // Bounded lock-free queues.
 //
 //  * MpmcQueue — Vyukov's algorithm; the input queue between clients and
-//    the Bohm sequencer thread, also used by the harness drivers.
+//    the Bohm sequencer thread.
 //  * SpscQueue — single-producer/single-consumer ring with cache-line-
 //    padded indices and cached peer indices; the per-stage handoff rings
 //    of the streamed Bohm pipeline (sequencer -> each CC thread,
@@ -16,7 +16,6 @@
 #include <memory>
 
 #include "common/macros.h"
-#include "common/spin.h"
 
 namespace bohm {
 
@@ -105,10 +104,17 @@ class MpmcQueue {
            pos + 1;
   }
 
-  /// Blocking push with yielding back-off.
-  void Push(T value) {
-    SpinWait wait;
-    while (!TryPush(std::move(value))) wait.Pause();
+  /// Fullness probe: true while the cell at the tail has not been freed
+  /// by a pop (exact from a sole producer thread; advisory with several).
+  /// Lets a producer wait for room without giving up the value it would
+  /// push.
+  bool Full() const {
+    // relaxed: tail_ is only a claim ticket (see TryPush); the cell's
+    // sequence acquire carries the ordering.
+    const size_t pos = tail_.load(std::memory_order_relaxed);
+    const size_t seq = cells_[pos & mask_].sequence.load(
+        std::memory_order_acquire);
+    return static_cast<intptr_t>(seq) - static_cast<intptr_t>(pos) < 0;
   }
 
   size_t capacity() const { return capacity_; }

@@ -11,15 +11,19 @@
 //    a short burst and then yields the processor, so a pure spin cannot
 //    starve the thread it waits on when threads outnumber cores.
 //  * IdleEvent — for idle waits between pipeline threads, which can last
-//    arbitrarily long (an engine below saturation is mostly idle). It
-//    spins for a fixed time budget and then parks the thread in the
-//    kernel until a producer notifies, so an idle stage costs no CPU.
+//    arbitrarily long (an engine below saturation is mostly idle), and
+//    for the back-pressure waits upstream of the slowest stage (a client
+//    facing a full input queue, the sequencer waiting for a batch slot).
+//    It spins for a fixed time budget and then parks the thread in the
+//    kernel until a producer notifies, so a waiting thread costs no CPU.
 //
 // The paper's prototype runs one pinned thread per physical core and lets
 // every stage spin. That is affordable at saturation, but it burns every
 // core it is given at any load. Parking after a short spin frees the
-// cores when there is nothing to do; a stage waiting behind unfinished
-// work keeps spinning (and yielding) as before, so it never pays a wake.
+// cores when there is nothing to do, and at saturation frees the cores
+// of the stages that wait for the bottleneck with queued work in hand; a
+// stage waiting directly behind the executing batch keeps spinning (and
+// yielding) as before, so it never pays a wake on the critical path.
 //
 // The locks here are annotated capabilities (common/thread_annotations.h):
 // under Clang, -Wthread-safety statically checks that fields declared

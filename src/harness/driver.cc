@@ -48,7 +48,7 @@ class Clients {
             parked_.fetch_sub(1, std::memory_order_acq_rel);
             continue;
           }
-          // Bohm's Submit blocks (yielding) while its input queue is full,
+          // Bohm's Submit blocks (parking) while its input queue is full,
           // which is the closed loop's back-pressure. A rejection (a closed
           // or degraded engine, a client beyond an executor's worker slots)
           // means a broken configuration: abort rather than report a short

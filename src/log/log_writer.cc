@@ -1,5 +1,6 @@
 #include "log/log_writer.h"
 
+#include "common/affinity.h"
 #include "common/stats.h"
 
 namespace bohm {
@@ -13,7 +14,10 @@ LogWriter::~LogWriter() {
 }
 
 void LogWriter::Start() {
-  thread_ = std::thread([this] { WriterLoop(); });
+  thread_ = std::thread([this] {
+    SetCurrentThreadName("bohm-log");
+    WriterLoop();
+  });
 }
 
 void LogWriter::Stop() {

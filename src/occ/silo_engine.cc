@@ -116,8 +116,18 @@ uint64_t SiloEngine::StableRead(SVSlot* slot, void* out,
       continue;
     }
     AtomicWordCopyFrom(out, slot->payload(), size);
+#if defined(__SANITIZE_THREAD__)
+    // ThreadSanitizer does not model standalone fences (GCC warns), so
+    // under it the recheck is a read-don't-modify-write (Boehm, "Can
+    // seqlocks get along with programming language memory models?"): its
+    // release half keeps the copy's loads before it, and a committer
+    // whose lock CAS follows it in the header's modification order
+    // synchronizes with it, as with the fence.
+    uint64_t t2 = slot->header.fetch_add(0, std::memory_order_acq_rel);
+#else
     std::atomic_thread_fence(std::memory_order_acquire);
     uint64_t t2 = slot->header.load(std::memory_order_acquire);
+#endif
     if (t1 == t2) return t1;
     wait.Pause();
   }

@@ -21,7 +21,10 @@
 //      core, and a pipeline whose stages park between bursts, with one
 //      exec thread always finishing last, still matches the serial oracle
 //      and survives recovery (an exec thread parked with a stale pin would
-//      deadlock the slot-reuse gate).
+//      deadlock the slot-reuse gate);
+//  (f) back-pressured waits park too — with execution frozen, a client
+//      facing a full input queue and a sequencer waiting for a batch slot
+//      use almost no CPU, and the stream still matches the serial oracle.
 //
 // The suite's own waits yield (std::this_thread::yield), and the engine's
 // waits park or yield, so the suite is deterministic on a single-core host
@@ -29,7 +32,9 @@
 // making progress.
 #include <gtest/gtest.h>
 
+#include <pthread.h>
 #include <time.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -37,7 +42,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <map>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -701,12 +709,14 @@ BohmConfig ParkingConfig(const std::string& dir, uint32_t depth) {
 }
 
 #if defined(__linux__)
-uint64_t ProcessCpuNanos() {
+uint64_t CpuClockNanos(clockid_t clock) {
   timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  clock_gettime(clock, &ts);
   return static_cast<uint64_t>(ts.tv_sec) * 1000000000ull +
          static_cast<uint64_t>(ts.tv_nsec);
 }
+
+uint64_t ProcessCpuNanos() { return CpuClockNanos(CLOCK_PROCESS_CPUTIME_ID); }
 
 TEST(BohmParkingTest, IdleEngineUsesLittleCpu) {
   TempLogDir dir("bohm_parking_idle");
@@ -735,6 +745,134 @@ TEST(BohmParkingTest, IdleEngineUsesLittleCpu) {
       << "idle engine used " << cpu_ns << " ns of CPU in " << wall_ns
       << " ns";
   EXPECT_EQ(engine.Stats().commits, 20u);
+  engine.Stop();
+}
+
+uint64_t ThreadCpuNanos(pthread_t thread) {
+  clockid_t clock;
+  if (pthread_getcpuclockid(thread, &clock) != 0) return 0;
+  return CpuClockNanos(clock);
+}
+
+/// User plus system CPU of this process's only thread named `name`, from
+/// /proc/self/task/*/stat; UINT64_MAX unless exactly one thread has it.
+uint64_t NamedThreadCpuNanos(const std::string& name) {
+  uint64_t cpu_ns = UINT64_MAX;
+  int found = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::string comm;
+    std::getline(std::ifstream(task.path() / "comm"), comm);
+    if (comm != name) continue;
+    ++found;
+    std::string stat;
+    std::getline(std::ifstream(task.path() / "stat"), stat);
+    // utime and stime are fields 14 and 15; the fields after the
+    // parenthesized command name start at field 3.
+    std::istringstream rest(stat.substr(stat.rfind(')') + 2));
+    std::string field;
+    for (int i = 3; i < 14; ++i) rest >> field;
+    uint64_t utime = 0, stime = 0;
+    rest >> utime >> stime;
+    cpu_ns = (utime + stime) * (1000000000ull /
+                                static_cast<uint64_t>(sysconf(_SC_CLK_TCK)));
+  }
+  return found == 1 ? cpu_ns : UINT64_MAX;
+}
+
+TEST(BohmParkingTest, BackPressuredClientAndSequencerPark) {
+  // Depth 2, batches of 4, an input queue of 8, and the one exec thread
+  // frozen in exec_batch_start at batch 0. Batches 0 and 1 get one
+  // transaction each, so the test knows exactly when the queue is full:
+  // the sequencer then waits to reuse batch 0's slot and the client waits
+  // on a full input queue. Both waits are back-pressure with no end in
+  // sight, so both must park rather than spin.
+  constexpr int kTxns = 64;
+  constexpr uint64_t kKeys = 8;
+  constexpr int kQueue = 8;
+  Gate release;
+  BohmConfig cfg;
+  cfg.cc_threads = 1;
+  cfg.exec_threads = 1;
+  cfg.batch_size = 4;
+  cfg.pipeline_depth = 2;
+  cfg.input_queue_capacity = kQueue;
+  BohmEngine engine(OneTable(kKeys), cfg);
+  uint64_t zero = 0;
+  for (Key k = 0; k < kKeys; ++k) ASSERT_TRUE(engine.Load(0, k, &zero).ok());
+  auto hooks = std::make_shared<BohmTestHooks>();
+  hooks->exec_batch_start = [&](uint32_t, int64_t b) {
+    if (b == 0) release.Wait();
+  };
+  engine.set_test_hooks(hooks);
+  ASSERT_TRUE(engine.Start().ok());
+
+  std::vector<uint64_t> oracle(kKeys, 0);
+  std::atomic<int> returned{0};
+  std::atomic<bool> client_ok{true};
+  std::thread client([&] {
+    for (int i = 0; i < kTxns; ++i) {
+      const Key key = static_cast<Key>(i) % kKeys;
+      const uint64_t delta = 1 + static_cast<uint64_t>(i) % 5;
+      oracle[key] += delta;
+      if (!engine.Submit(std::make_unique<IncrementProcedure>(0, key, delta))
+               .ok()) {
+        client_ok.store(false);
+      }
+      returned.fetch_add(1, std::memory_order_acq_rel);
+      // One transaction each in batches 0 and 1.
+      if (i < 2 && !WaitUntil([&] { return engine.last_sealed_batch() >= i; })) {
+        client_ok.store(false);
+      }
+    }
+  });
+  // A failed assertion must neither leave exec frozen in the hook nor the
+  // client blocked on the queue while they are joined.
+  struct ReleaseOnExit {
+    Gate& release;
+    std::thread& client;
+    ~ReleaseOnExit() {
+      release.Open();
+      if (client.joinable()) client.join();
+    }
+  } release_on_exit{release, client};
+
+  // Exec is frozen in batch 0, so the sequencer cannot reuse its slot:
+  // the queue holds exactly kQueue transactions once the client blocks.
+  ASSERT_TRUE(WaitUntil([&] { return returned.load() == 2 + kQueue; }));
+  // Let both waits run past their spin budget.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_EQ(returned.load(), 2 + kQueue);
+  ASSERT_EQ(engine.last_sealed_batch(), 1);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const uint64_t client0 = ThreadCpuNanos(client.native_handle());
+  const uint64_t seq0 = NamedThreadCpuNanos("bohm-seq");
+  ASSERT_NE(seq0, UINT64_MAX) << "no single thread named bohm-seq";
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const uint64_t client_ns = ThreadCpuNanos(client.native_handle()) - client0;
+  const uint64_t seq_ns = NamedThreadCpuNanos("bohm-seq") - seq0;
+  const auto wall_ns = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+  EXPECT_LT(client_ns, wall_ns / 10)
+      << "client facing a full input queue used " << client_ns
+      << " ns of CPU in " << wall_ns << " ns";
+  EXPECT_LT(seq_ns, wall_ns / 10)
+      << "sequencer waiting for a batch slot used " << seq_ns
+      << " ns of CPU in " << wall_ns << " ns";
+
+  release.Open();
+  client.join();
+  EXPECT_TRUE(client_ok.load());
+  engine.WaitForIdle();
+  EXPECT_EQ(engine.Stats().commits, static_cast<uint64_t>(kTxns));
+  for (Key k = 0; k < kKeys; ++k) {
+    uint64_t v = 0;
+    ASSERT_TRUE(engine.ReadLatest(0, k, &v).ok());
+    EXPECT_EQ(v, oracle[k]) << "key " << k;
+  }
   engine.Stop();
 }
 #endif

@@ -33,6 +33,32 @@ TEST(MpmcQueueTest, FullPushFails) {
   EXPECT_FALSE(q.TryPush(99));
 }
 
+TEST(MpmcQueueTest, FullTracksOccupancy) {
+  // Full() holds exactly while a TryPush would fail, across several laps
+  // of the ring, and it never consumes or reorders anything.
+  MpmcQueue<int> q(4);
+  int next_in = 0, next_out = 0;
+  for (int lap = 0; lap < 3; ++lap) {
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_FALSE(q.Full()) << "lap " << lap << " before push " << i;
+      ASSERT_TRUE(q.TryPush(next_in++));
+    }
+    EXPECT_TRUE(q.Full()) << "lap " << lap;
+    EXPECT_TRUE(q.Full()) << "the probe must not change the queue";
+    EXPECT_FALSE(q.TryPush(99));
+    int v = -1;
+    ASSERT_TRUE(q.TryPop(&v));
+    EXPECT_EQ(v, next_out++);
+    EXPECT_FALSE(q.Full()) << "one pop frees one cell";
+    ASSERT_TRUE(q.TryPush(next_in++));
+    EXPECT_TRUE(q.Full());
+    while (q.TryPop(&v)) EXPECT_EQ(v, next_out++);
+    EXPECT_FALSE(q.Full());
+    EXPECT_TRUE(q.Empty());
+  }
+  EXPECT_EQ(next_out, next_in);
+}
+
 TEST(MpmcQueueTest, FifoWithinCapacityCycles) {
   MpmcQueue<int> q(4);
   for (int round = 0; round < 10; ++round) {
@@ -47,7 +73,7 @@ TEST(MpmcQueueTest, FifoWithinCapacityCycles) {
 
 TEST(MpmcQueueTest, MovesUniquePtrs) {
   MpmcQueue<std::unique_ptr<int>> q(4);
-  q.Push(std::make_unique<int>(5));
+  ASSERT_TRUE(q.TryPush(std::make_unique<int>(5)));
   std::unique_ptr<int> out;
   ASSERT_TRUE(q.TryPop(&out));
   EXPECT_EQ(*out, 5);
@@ -67,7 +93,8 @@ TEST(MpmcQueueTest, ConcurrentProducersConsumersConserveSum) {
   for (int p = 0; p < kProducers; ++p) {
     threads.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
-        q.Push(static_cast<uint64_t>(p * kPerProducer + i));
+        const auto v = static_cast<uint64_t>(p * kPerProducer + i);
+        while (!q.TryPush(v)) std::this_thread::yield();
       }
     });
   }
