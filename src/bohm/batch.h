@@ -3,9 +3,9 @@
 // Coordination happens once per batch, never per transaction (Section
 // 3.2.4) — and since the move to epoch watermarks, "coordination" means
 // publishing a counter, not parking at a barrier. The sequencer fills a
-// batch slot and announces the batch id through per-stage single-producer/
-// single-consumer feed rings (common/queue.h); every CC thread walks every
-// announced batch in order (deriving parallelism from intra-transaction
+// batch slot and announces it by raising its own watermark, the highest
+// sealed batch id (batch ids are dense); every CC thread walks every
+// sealed batch in order (deriving parallelism from intra-transaction
 // partitioning, not batch partitioning) and advances its own entry in a
 // WatermarkSet (common/watermark.h) when its partition slice is done.
 // Execution threads may start striping batch b as soon as
@@ -20,8 +20,8 @@
 // watermark can never pass the CC watermark, so slot reuse also implies
 // every execution and CC thread has left the batch.
 //
-// The Batch struct itself carries no publication state: the feed-ring
-// push is the sequencer's release publication of the filled slot, and the
+// The Batch struct itself carries no publication state: the sequencer's
+// release store of the sealed batch id publishes the filled slot, and the
 // watermark stores are the CC stage's (docs/CONCURRENCY.md rule R5).
 #pragma once
 
@@ -43,7 +43,7 @@ struct Batch {
   /// Holds the BohmTxn objects and their read/write ref arrays.
   Arena arena{1u << 16};
   /// The partition map (partition -> CC thread) this batch was sequenced
-  /// under, copied in by the sequencer before the feed push (plain stores
+  /// under, copied in by the sequencer before the seal (plain stores
   /// riding the R5 release edge; rule R7). CC threads route every
   /// read/write-set element by owners[PartitionOf(key)]. The copy belongs
   /// to the slot, so it is recycled with it (rule R8) and keeps its

@@ -5,7 +5,7 @@
 // physical partition (static hash of the key) it currently owns under
 // the batch's partition map. The decision is purely thread-local; two CC
 // threads never touch the same record inside one map epoch, and epoch
-// handoff is ordered by the watermark/feed edges (rule R7), so version
+// handoff is ordered by the watermark edges (rule R7), so version
 // insertion needs no synchronization. The only cross-thread
 // coordination is one release store per batch: each thread advances its
 // own cc_watermark_ slot when its partition slice is done and streams
@@ -20,33 +20,26 @@
 namespace bohm {
 
 void BohmEngine::CcLoop(uint32_t cc_id) {
-  SpscQueue<int64_t>& feed = *cc_feed_[cc_id];
   StallSlot& stall = *cc_stall_[cc_id];
   const BohmTestHooks* hooks = hooks_.get();
-  for (;;) {
-    int64_t b;
-    if (!feed.TryPop(&b)) {
-      // Feed dry: park until the sequencer seals the next batch, charging
-      // the wait to this stage's stall attribution. Shutdown: once the
-      // sequencer is done (its done flag is release-stored after the last
-      // feed push), a failed re-poll means the feed is drained for good.
-      // SealBatch and the done store both notify idle_ (rule R9).
+  // Batch ids are dense, so this thread walks 0, 1, 2, ...; it owes
+  // batch b a slice as soon as last_sealed_batch() >= b.
+  for (int64_t b = 0;; ++b) {
+    if (last_sealed_batch() < b) {
+      // Next batch unsealed: park until the sequencer seals it, charging
+      // the wait to this stage's stall attribution. Shutdown: the
+      // sequencer's done flag is release-stored after its last seal, so
+      // once it reads true, a b still unsealed is never sealed. SealBatch
+      // and the done store both notify idle_ (rule R9).
       const uint64_t stall_start = MonotonicNanos();
-      for (;;) {
-        if (feed.TryPop(&b)) break;
-        if (sequencer_done_.load(std::memory_order_acquire)) {
-          if (feed.TryPop(&b)) break;
-          stall.ns.Inc(MonotonicNanos() - stall_start);
-          return;
-        }
-        idle_.Await(
-            [&] {
-              return !feed.Empty() ||
-                     sequencer_done_.load(std::memory_order_acquire);
-            },
-            [this] { return PipelineBusy(); });
-      }
+      idle_.Await(
+          [&] {
+            return last_sealed_batch() >= b ||
+                   sequencer_done_.load(std::memory_order_acquire);
+          },
+          [this] { return PipelineBusy(); });
       stall.ns.Inc(MonotonicNanos() - stall_start);
+      if (last_sealed_batch() < b) return;
     }
 
     Batch* batch = ring_.Slot(b);
@@ -84,7 +77,8 @@ void BohmEngine::CcProcessTxn(uint32_t cc_id, BohmTxn* txn, int64_t batch_id) {
   // Route by the batch's partition map, not by thread id: the physical
   // partition (static hash) selects the index shard, the map says whether
   // this thread currently owns it (rule R7). The batch's owners copy was
-  // published by the feed push (rule R5) and lives as long as its slot.
+  // published by the sealed-batch store (rule R5) and lives as long as
+  // its slot.
   const Batch* batch = ring_.Slot(batch_id);
   const uint32_t* owners = batch->owners.data();
   RelaxedCounter* touch = st.touch.get();
@@ -104,7 +98,7 @@ void BohmEngine::CcProcessTxn(uint32_t cc_id, BohmTxn* txn, int64_t batch_id) {
       BohmIndexEntry* entry = table->Find(part, r.rec.key);
       // relaxed: this CC thread is the current single writer of heads in
       // the partitions it owns (ownership handoff itself rides the
-      // watermark/feed release-acquire edges, rule R7), so it reads back
+      // watermark release-acquire edges, rule R7), so it reads back
       // the latest store; cross-thread visibility of the annotation
       // itself rides the cc_watermark_ release/acquire edge (rule R5).
       r.version =

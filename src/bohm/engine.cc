@@ -55,20 +55,13 @@ BohmEngine::BohmEngine(const Catalog& catalog, BohmConfig cfg)
   for (const TableSpec& t : catalog_.tables()) {
     record_sizes_[t.id] = t.record_size;
   }
-  // Feed capacity >= pipeline depth guarantees SealBatch's pushes succeed
-  // (see the member comment in engine.h).
-  const size_t feed_capacity = NextPow2(cfg_.pipeline_depth < 2
-                                            ? 2
-                                            : cfg_.pipeline_depth);
   for (uint32_t i = 0; i < cfg_.cc_threads; ++i) {
     cc_state_.push_back(std::make_unique<CcState>());
     cc_state_.back()->touch =
         std::make_unique<RelaxedCounter[]>(db_.partitions());
-    cc_feed_.push_back(std::make_unique<SpscQueue<int64_t>>(feed_capacity));
     cc_stall_.push_back(std::make_unique<StallSlot>());
   }
   for (uint32_t i = 0; i < cfg_.exec_threads; ++i) {
-    exec_feed_.push_back(std::make_unique<SpscQueue<int64_t>>(feed_capacity));
     exec_stall_.push_back(std::make_unique<StallSlot>());
     exec_log_stall_.push_back(std::make_unique<StallSlot>());
   }
@@ -81,7 +74,6 @@ BohmEngine::BohmEngine(const Catalog& catalog, BohmConfig cfg)
     opts.policy = cfg_.durability.fsync_policy;
     opts.group_size =
         cfg_.durability.group_size == 0 ? 1 : cfg_.durability.group_size;
-    opts.interval_us = cfg_.durability.interval_us;
     log_writer_ = std::make_unique<LogWriter>(log_.get(), opts, &idle_);
   }
 }

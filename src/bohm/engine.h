@@ -21,12 +21,13 @@
 //          per-thread completion watermarks from which the GC / slot-reuse
 //          low-watermark is folded (Section 3.3.2).
 //
-// Handoff between stages is wait-free on the hot path: the sequencer
-// announces sealed batch ids through per-consumer SPSC feed rings, and
-// stages wait for each other only on feeds and watermark folds. Every
-// such idle wait spins briefly and then parks on one engine-wide
-// IdleEvent, which every publication notifies (docs/CONCURRENCY.md rule
-// R9), so an idle engine costs no CPU.
+// Handoff between stages is wait-free on the hot path: every stage
+// publishes its progress as a batch-id watermark (the sequencer's
+// last_sealed_batch, the CC and execution watermark sets), and stages wait
+// for each other only on those watermarks. Every such idle wait spins
+// briefly and then parks on one engine-wide IdleEvent, which every
+// publication notifies (docs/CONCURRENCY.md rule R9), so an idle engine
+// costs no CPU.
 //
 // Reads never block writes; writes may block reads (only on placeholder
 // data not yet produced). No global timestamp counter, no lock manager, no
@@ -69,8 +70,7 @@ struct DurabilityConfig {
   /// Directory for segment files (created if missing).
   std::string dir;
   FsyncPolicy fsync_policy = FsyncPolicy::kGroup;
-  uint32_t group_size = 8;     // kGroup: records per fsync
-  uint64_t interval_us = 1000; // kInterval: max time between fsyncs
+  uint32_t group_size = 8;  // kGroup: records per fsync
   uint64_t segment_bytes = 64ull << 20;
   /// When true (the default), execution of a batch waits until the batch
   /// is durable per the fsync policy, so a commit acknowledgement implies
@@ -288,7 +288,7 @@ class BohmEngine final : public Engine {
     RelaxedCounter freed;
     /// Per-partition touch counters. Single-writer: at any moment each
     /// partition has exactly one owner, and ownership handoff rides the
-    /// watermark/feed edges, so a slot never has two concurrent writers.
+    /// watermark edges, so a slot never has two concurrent writers.
     /// The sequencer folds them between batches.
     std::unique_ptr<RelaxedCounter[]> touch;
   };
@@ -379,12 +379,6 @@ class BohmEngine final : public Engine {
   /// and exec together, so their wake latencies overlap instead of adding
   /// up along the pipeline.
   IdleEvent idle_;
-  /// Sealed-batch feed rings, one SPSC pair per consumer thread
-  /// (sequencer is the sole producer). Capacity >= pipeline depth, so a
-  /// push can never fail: at most `depth` sealed batches are un-consumed
-  /// thanks to the sequencer's slot-reuse back-pressure.
-  std::vector<std::unique_ptr<SpscQueue<int64_t>>> cc_feed_;
-  std::vector<std::unique_ptr<SpscQueue<int64_t>>> exec_feed_;
   StatsRegistry stats_;  // one slice per execution thread
   StallSlot seq_stall_;
   std::vector<std::unique_ptr<StallSlot>> cc_stall_;
@@ -417,8 +411,13 @@ class BohmEngine final : public Engine {
   std::atomic<bool> stopping_{false};
   std::atomic<bool> stopped_{false};
   std::atomic<bool> sequencer_done_{false};
-  std::atomic<int64_t> last_sealed_batch_{-1};
-  std::atomic<uint64_t> submitted_{0};
+  /// The sequencer's watermark: batches 0..last_sealed_batch_ are sealed.
+  /// Its release store publishes a batch's slot contents to the CC
+  /// threads, and through their watermarks to execution (rule R5). Every
+  /// pipeline thread polls it, so it gets its own line, away from
+  /// submitted_ (a fetch_add per Submit) and next_ts_.
+  alignas(kCacheLineSize) std::atomic<int64_t> last_sealed_batch_{-1};
+  alignas(kCacheLineSize) std::atomic<uint64_t> submitted_{0};
   uint64_t next_ts_ = 1;         // sequencer-private
   int64_t next_batch_id_ = 0;    // sequencer-private
 };

@@ -76,46 +76,31 @@ void BohmEngine::ExecAwait(uint32_t exec_id, Pred ready, Busy busy) {
 }
 
 void BohmEngine::ExecLoop(uint32_t exec_id) {
-  SpscQueue<int64_t>& feed = *exec_feed_[exec_id];
   StallSlot& stall = *exec_stall_[exec_id];
   const BohmTestHooks* hooks = hooks_.get();
-  for (;;) {
-    // Pop the next sealed batch id from this thread's feed ring (or
-    // return once the sequencer is done and the feed is drained).
-    int64_t b;
-    if (!feed.TryPop(&b)) {
-      const uint64_t stall_start = MonotonicNanos();
-      for (;;) {
-        if (feed.TryPop(&b)) break;
-        if (sequencer_done_.load(std::memory_order_acquire)) {
-          if (feed.TryPop(&b)) break;
-          stall.ns.Inc(MonotonicNanos() - stall_start);
-          return;
-        }
-        ExecAwait(
-            exec_id,
-            [&] {
-              return !feed.Empty() ||
-                     sequencer_done_.load(std::memory_order_acquire);
-            },
-            [this] { return PipelineBusy(); });
-      }
-      stall.ns.Inc(MonotonicNanos() - stall_start);
-    }
-
+  // Batch ids are dense, so this thread walks 0, 1, 2, ... .
+  for (int64_t b = 0;; ++b) {
     // Admission: execution may enter batch b only once every CC thread
-    // has finished its slice of b — min(cc_watermark) >= b. The acquire
-    // fold pairs with each CC thread's release watermark store, so all
-    // placeholders and annotations of batch b are visible here (rule R5).
-    // This wait terminates without extra shutdown plumbing: CC threads
-    // drain the same sealed-batch feed before exiting, so their
-    // watermarks always reach b eventually.
+    // has finished its slice of b — min(cc_watermark) >= b, which implies
+    // b is sealed. The acquire fold pairs with each CC thread's release
+    // watermark store, so all placeholders and annotations of batch b are
+    // visible here (rule R5). Shutdown: once the sequencer is done (its
+    // flag is release-stored after its last seal) and b is still
+    // unsealed, b is never sealed and this thread returns. A sealed b is
+    // always admitted eventually: CC threads exit only past every sealed
+    // batch.
     if (cc_watermark_.Min() < b) {
       const uint64_t stall_start = MonotonicNanos();
       ExecAwait(
-          exec_id, [&] { return cc_watermark_.Min() >= b; },
+          exec_id,
+          [&] {
+            return cc_watermark_.Min() >= b ||
+                   (sequencer_done_.load(std::memory_order_acquire) &&
+                    last_sealed_batch() < b);
+          },
           [this] { return PipelineBusy(); });
       stall.ns.Inc(MonotonicNanos() - stall_start);
+      if (cc_watermark_.Min() < b) return;
     }
 
     // Durable-ack gate (docs/CONCURRENCY.md rule R6): a batch may execute

@@ -24,8 +24,8 @@ const std::vector<uint32_t>& RepartitionController::MapForBatch(
     // Gate: every thread that loses a partition must have finished all
     // batches sealed under the old map (ids < id). Its watermark Advance
     // is a release store ordered after its head stores for the migrated
-    // partitions; the acquire Get here plus the sequencer's release feed
-    // push of batch `id` hands that visibility to the new owner (R7).
+    // partitions; the acquire Get here plus the sequencer's release store
+    // sealing batch `id` hands that visibility to the new owner (R7).
     bool ready = true;
     for (uint32_t src : pending_sources_) {
       if (cc_watermark.Get(src) < id - 1) {

@@ -16,17 +16,18 @@
 //
 // Safety (docs/CONCURRENCY.md rule R7):
 //  * Each sealed Batch carries its own copy of the owner array, written by
-//    the sequencer before the feed push; the copy rides the feed-push
-//    release edge (rule R5), so a CC thread popping the batch sees it
-//    fully built. The copy lives and dies with its batch slot (rule R8),
-//    so no map ever has to be retired.
+//    the sequencer before the seal; the copy rides the sealed-batch
+//    release store (rule R5), so a CC thread that reads the batch as
+//    sealed sees it fully built. The copy lives and dies with its batch
+//    slot (rule R8), so no map ever has to be retired.
 //  * A migration takes effect only once the sequencer has observed every
 //    *source* thread's cc_watermark pass the last batch sealed under the
 //    old map. The old owner's head stores happen before its watermark
 //    Advance (release); the sequencer's acquire fold happens before its
-//    next feed push (release); the new owner's pop (acquire) therefore
-//    sees every version the old owner installed. Until the gate opens,
-//    batches keep sealing under the old map — the sequencer never waits.
+//    next sealed-batch store (release); the new owner's acquire load of
+//    the sealed id therefore sees every version the old owner installed.
+//    Until the gate opens, batches keep sealing under the old map — the
+//    sequencer never waits.
 #pragma once
 
 #include <atomic>

@@ -5,7 +5,6 @@
 // counters of conventional multi-version systems (Section 2.1).
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
 
 #include "common/spin.h"
@@ -60,33 +59,20 @@ void BohmEngine::FoldTouchCounters() {
 void BohmEngine::SealBatch(Batch* batch, int64_t id) {
   batch->id = id;
   LogSealedBatch(*batch, id);
-  // Announce the id before the feed pushes, so PipelineBusy() already
-  // holds when a consumer pops the batch: its waits behind this batch
-  // then spin rather than park (docs/CONCURRENCY.md rule R9).
+  // Publish the sealed batch: this release store is what makes the slot
+  // contents the sequencer just wrote visible to every CC thread that
+  // reads last_sealed_batch() >= id, and through the CC watermarks to
+  // execution (docs/CONCURRENCY.md rule R5). A consumer reaches batch id
+  // only through this store, so PipelineBusy() already holds when it
+  // does (rule R9).
   last_sealed_batch_.store(id, std::memory_order_release);
-  // Publish the sealed batch by announcing its id through every
-  // consumer's SPSC feed ring: the ring's release store is what makes the
-  // slot contents the sequencer just wrote visible to that consumer
-  // (docs/CONCURRENCY.md rule R5). The pushes cannot fail — feed capacity
-  // is at least the pipeline depth and the slot-reuse back-pressure above
-  // bounds un-consumed sealed batches by the depth.
-  for (auto& feed : cc_feed_) {
-    bool pushed = feed->TryPush(id);
-    assert(pushed && "cc feed overflow: back-pressure invariant broken");
-    (void)pushed;
-  }
-  for (auto& feed : exec_feed_) {
-    bool pushed = feed->TryPush(id);
-    assert(pushed && "exec feed overflow: back-pressure invariant broken");
-    (void)pushed;
-  }
-  idle_.Notify();  // CC and exec threads park on empty feeds (rule R9)
+  idle_.Notify();  // CC threads park on the next unsealed id
 }
 
 // Thread-safety: `next_batch_id_` and `next_ts_` are plain fields written
 // only by this single sequencer thread (docs/CONCURRENCY.md,
 // "single-writer ownership"); downstream stages learn about a batch solely
-// through SealBatch's release stores, which order everything the
+// through SealBatch's release store, which orders everything the
 // sequencer wrote into the batch before them.
 void BohmEngine::SequencerLoop() {
   for (;;) {

@@ -3,9 +3,9 @@
 //  * MpmcQueue — Vyukov's algorithm; the input queue between clients and
 //    the Bohm sequencer thread.
 //  * SpscQueue — single-producer/single-consumer ring with cache-line-
-//    padded indices and cached peer indices; the per-stage handoff rings
-//    of the streamed Bohm pipeline (sequencer -> each CC thread,
-//    sequencer -> each execution thread).
+//    padded indices and cached peer indices; the ring that hands sealed
+//    batch records from the Bohm sequencer to the log-writer thread
+//    (log/log_writer.h).
 //
 // Capacities must be powers of two.
 #pragma once
@@ -140,8 +140,7 @@ class MpmcQueue {
 /// only publication: everything the producer wrote into the slot (and
 /// everything it wrote anywhere else beforehand) is visible to a consumer
 /// whose acquire load observes the advanced tail — which is exactly the
-/// property the Bohm sequencer relies on to publish sealed batches
-/// (docs/CONCURRENCY.md rule R5).
+/// property the log writer relies on to read a record's payload.
 template <typename T>
 class SpscQueue {
  public:

@@ -5,11 +5,11 @@
 //
 //  * SpinWait — for waits on a peer that is working: the locks below, the
 //    Bohm exec stripe loop (a peer is mid-transaction), the executor
-//    engines, IdleEvent's busy branch (a pipeline stage waits behind a
-//    sealed batch that is still executing) and the log writer's kInterval
-//    poll before an fsync deadline. It spins with a pause instruction for
-//    a short burst and then yields the processor, so a pure spin cannot
-//    starve the thread it waits on when threads outnumber cores.
+//    engines and IdleEvent's busy branch (a pipeline stage waits behind a
+//    sealed batch that is still executing). It spins with a pause
+//    instruction for a short burst and then yields the processor, so a
+//    pure spin cannot starve the thread it waits on when threads outnumber
+//    cores.
 //  * IdleEvent — for idle waits between pipeline threads, which can last
 //    arbitrarily long (an engine below saturation is mostly idle), and
 //    for the back-pressure waits upstream of the slowest stage (a client

@@ -124,7 +124,7 @@ struct StatsSnapshot {
   /// Zero for executor engines (they have no pipeline to stall).
   uint64_t seq_stall_ns = 0;   ///< sequencer waiting for slot reuse
   uint64_t cc_stall_ns = 0;    ///< CC threads waiting for sealed batches
-  uint64_t exec_stall_ns = 0;  ///< exec threads waiting for feed/CC watermark
+  uint64_t exec_stall_ns = 0;  ///< exec threads waiting for CC watermark
   /// Durable-log accounting (zero when durability is off).
   uint64_t log_stall_ns = 0;  ///< pipeline time blocked on the log
                               ///< (sequencer handoff + durable-ack waits)

@@ -81,22 +81,16 @@ void LogWriter::PublishCounters() {
 }
 
 void LogWriter::WriterLoop() {
-  SpinWait wait;  // kInterval's timed poll while records await the deadline
   uint64_t unsynced = 0;  // records appended since the last durability point
   uint64_t last_appended = 0;
-  uint64_t last_sync_ns = MonotonicNanos();
 
   auto sync_now = [&] {
-    if (SyncThrough(last_appended)) {
-      unsynced = 0;
-      last_sync_ns = MonotonicNanos();
-    }
+    if (SyncThrough(last_appended)) unsynced = 0;
   };
 
   for (;;) {
     Pending p;
     if (queue_.TryPop(&p)) {
-      wait.Reset();
       idle_->Notify();  // a full-ring Append parks until a pop
       // relaxed: failed_ is only ever set by this thread (Fail below).
       if (failed_.load(std::memory_order_relaxed)) {
@@ -120,39 +114,19 @@ void LogWriter::WriterLoop() {
         case FsyncPolicy::kGroup:
           if (unsynced >= opts_.group_size) sync_now();
           break;
-        case FsyncPolicy::kInterval:
-          if (MonotonicNanos() - last_sync_ns >= opts_.interval_us * 1000) {
-            sync_now();
-          }
-          break;
       }
       continue;
     }
 
     // Ring is dry. Group commit syncs whatever accumulated (an idle
-    // pipeline must not leave acknowledged-later batches hanging);
-    // interval syncs when its clock expires and until then keeps polling
-    // the ring with SpinWait. (relaxed: failed_ is written only by this
-    // thread.)
-    bool awaiting_deadline = false;
+    // pipeline must not leave acknowledged-later batches hanging); kNone
+    // never has anything unsynced. (relaxed: failed_ is written only by
+    // this thread.)
     if (unsynced > 0 && !failed_.load(std::memory_order_relaxed)) {
-      if (opts_.policy == FsyncPolicy::kGroup) {
-        sync_now();
-        continue;
-      }
-      if (opts_.policy == FsyncPolicy::kInterval) {
-        if (MonotonicNanos() - last_sync_ns >= opts_.interval_us * 1000) {
-          sync_now();
-          continue;
-        }
-        awaiting_deadline = true;
-      }
-    }
-    if (stop_.load(std::memory_order_acquire) && queue_.Empty()) break;
-    if (awaiting_deadline) {
-      wait.Pause();
+      sync_now();
       continue;
     }
+    if (stop_.load(std::memory_order_acquire) && queue_.Empty()) break;
     // Nothing pending: park until Append pushes or Stop is called.
     idle_->Await([this] {
       return !queue_.Empty() || stop_.load(std::memory_order_acquire);

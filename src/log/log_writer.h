@@ -18,9 +18,7 @@
 //
 // Idle waits on both sides park on the engine's IdleEvent
 // (docs/CONCURRENCY.md rule R9): the writer notifies it after every pop,
-// durable advance and failure; Append notifies it after every push. The
-// one exception is kInterval with records awaiting their fsync deadline:
-// the writer then keeps polling the ring with SpinWait until it is due.
+// durable advance and failure; Append notifies it after every push.
 #pragma once
 
 #include <atomic>
@@ -38,16 +36,14 @@ namespace bohm {
 
 /// When the log writer calls fsync.
 enum class FsyncPolicy {
-  kNone,      // never (OS decides); "durable" means handed to the kernel
-  kGroup,     // after `group_size` records (1 = every batch record, the
-              // strongest and slowest), or when the ring runs dry
-  kInterval,  // at most every `interval_us` microseconds
+  kNone,   // never (OS decides); "durable" means handed to the kernel
+  kGroup,  // after `group_size` records (1 = every batch record, the
+           // strongest and slowest), or when the ring runs dry
 };
 
 struct LogWriterOptions {
   FsyncPolicy policy = FsyncPolicy::kGroup;
   uint32_t group_size = 8;
-  uint64_t interval_us = 1000;
 };
 
 class LogWriter {

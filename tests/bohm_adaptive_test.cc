@@ -510,10 +510,10 @@ TEST(AdaptiveConfigTest, AdaptiveOffKeepsStaticAssignmentObservables) {
 
 // ---------------------------------------------------------------------------
 // TSan litmus for rule R7: a rotating owner's version-chain head stores
-// must be visible to the next owner through the watermark-gate/feed-push
-// chain. Run under the tsan preset (and 50x seeded in CI tsan-stress);
-// a missing release/acquire on the handoff shows up as a data race on the
-// index chain heads or the version payloads.
+// must be visible to the next owner through the watermark gate and the
+// sealed-batch store. Run under the tsan preset (and 50x seeded in CI
+// tsan-stress); a missing release/acquire on the handoff shows up as a
+// data race on the index chain heads or the version payloads.
 // ---------------------------------------------------------------------------
 
 TEST(AdaptiveHandoffTest, RotatingOwnershipPublishesHeadStores) {

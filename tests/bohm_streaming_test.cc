@@ -486,7 +486,7 @@ TEST(BohmStreamingTest, ExecCommitsBatchWhileCcInsideNextBatch) {
 TEST(BohmStreamingTest, CcThreadsStreamIndependentlyAcrossBatches) {
   BohmConfig cfg;
   cfg.cc_threads = 2;
-  cfg.exec_threads = 1;
+  cfg.exec_threads = 2;
   cfg.batch_size = 2;
   cfg.pipeline_depth = 8;
   cfg.input_queue_capacity = 1024;
@@ -497,8 +497,18 @@ TEST(BohmStreamingTest, CcThreadsStreamIndependentlyAcrossBatches) {
   Gate release;
   std::atomic<bool> frozen{false};
   std::atomic<int64_t> cc1_max_batch{-1};
+  // Batches each pipeline thread has visited. Every thread must visit
+  // 0, 1, 2, ... in order, so the next id it visits is this count; a
+  // skipped or repeated batch fails here, as it happens. Each count is
+  // written only by its own thread and read after Stop() joins it.
+  int64_t cc_visits[2] = {0, 0};
+  int64_t exec_visits[2] = {0, 0};
   auto hooks = std::make_shared<BohmTestHooks>();
+  hooks->exec_batch_start = [&](uint32_t exec_id, int64_t b) {
+    EXPECT_EQ(b, exec_visits[exec_id]++) << "exec thread " << exec_id;
+  };
   hooks->cc_batch_start = [&](uint32_t cc_id, int64_t b) {
+    EXPECT_EQ(b, cc_visits[cc_id]++) << "CC thread " << cc_id;
     if (cc_id == 0 && b == 1) {
       frozen.store(true, std::memory_order_release);
       release.Wait();
@@ -532,8 +542,12 @@ TEST(BohmStreamingTest, CcThreadsStreamIndependentlyAcrossBatches) {
       << cc1_max_batch.load() << ")";
   EXPECT_TRUE(frozen.load());
 
+  // Catch-up: batches 2, 3, ... are already sealed when CC thread 0 is
+  // released, so it walks through them without waiting for a seal. That
+  // path, like the waiting one, must visit every batch once, in order.
   release.Open();
   engine.WaitForIdle();
+  const int64_t sealed = engine.last_sealed_batch();
   uint64_t total = 0;
   for (Key k = 0; k < 16; ++k) {
     uint64_t v = 0;
@@ -542,6 +556,12 @@ TEST(BohmStreamingTest, CcThreadsStreamIndependentlyAcrossBatches) {
   }
   EXPECT_EQ(total, static_cast<uint64_t>(kTxns));
   engine.Stop();
+
+  // ... and every thread visited every sealed batch.
+  for (uint32_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(cc_visits[i], sealed + 1) << "CC thread " << i;
+    EXPECT_EQ(exec_visits[i], sealed + 1) << "exec thread " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -580,15 +600,16 @@ TEST(BohmStreamingTest, StallCountersAttributePipelineWait) {
   ASSERT_TRUE(WaitUntil([&] { return frozen.load(); }));
   // While frozen: the exec thread waits on the CC watermark for batch 1
   // (exec stall); the sequencer finishes sealing up to the depth bound
-  // and then waits for slot reuse (sequencer stall); CC thread 1 drains
-  // its feed and waits for more (CC stall).
+  // and then waits for slot reuse (sequencer stall); CC thread 1 catches
+  // up with the sequencer and waits for the next seal (CC stall).
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   release.Open();
   engine.WaitForIdle();
 
   const StatsSnapshot s = engine.Stats();
   EXPECT_GT(s.seq_stall_ns, 0u) << "sequencer back-pressure not attributed";
-  EXPECT_GT(s.cc_stall_ns, 0u) << "CC feed-dry wait not attributed";
+  EXPECT_GT(s.cc_stall_ns, 0u)
+      << "CC wait for an unsealed batch not attributed";
   EXPECT_GT(s.exec_stall_ns, 0u) << "exec watermark wait not attributed";
   engine.Stop();
 }
@@ -888,9 +909,9 @@ TEST_P(ParkedPipelineEquivalence, BurstsAfterIdleGapsMatchSerialOracle) {
   const BohmConfig cfg = ParkingConfig(dir.str(), depth);
 
   // Exec thread 1 always finishes its stripe well after thread 0, so
-  // thread 0 parks on its feed between batches with its pin behind the
-  // watermark that thread 1 then advances. Only a wake on that advance
-  // lets thread 0 refresh the pin the slot-reuse gate waits for.
+  // thread 0 parks between batches with its pin behind the watermark
+  // that thread 1 then advances. Only a wake on that advance lets
+  // thread 0 refresh the pin the slot-reuse gate waits for.
   auto hooks = std::make_shared<BohmTestHooks>();
   hooks->exec_batch_end = [](uint32_t exec_id, int64_t) {
     if (exec_id == 1) {

@@ -11,15 +11,11 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bohm/engine.h"
@@ -260,51 +256,6 @@ TEST_F(RecoveryTest, ShutdownWithInflightWorkLosesNothing) {
   auto engine = MakeEngine(Config(Dir("log")));
   ASSERT_TRUE(engine->Recover().ok());
   ExpectStateEquals(*engine, oracle, "inflight shutdown");
-  engine->Stop();
-}
-
-TEST_F(RecoveryTest, IntervalPolicyAcksAnIdleTailAndRecoversAll) {
-  // kInterval under the durable-ack gate: once the ring runs dry, the
-  // writer must still fsync the unsynced tail when its deadline passes,
-  // or the last batches would never execute.
-  {
-    BohmConfig cfg = Config(Dir("log"), FsyncPolicy::kInterval);
-    cfg.durability.interval_us = 200;
-    auto engine = MakeEngine(cfg);
-    ASSERT_TRUE(engine->Start().ok());
-    SubmitWorkload(engine.get(), 0, kTxns);
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (engine->Stats().commits < kTxns) {
-      if (std::chrono::steady_clock::now() > deadline) {
-        // The exec threads are wedged on the durable-ack gate and could
-        // never be joined.
-        std::fprintf(stderr,
-                     "the unsynced tail was never made durable: %llu of "
-                     "%llu committed\n",
-                     static_cast<unsigned long long>(engine->Stats().commits),
-                     static_cast<unsigned long long>(kTxns));
-        std::abort();
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    EXPECT_GT(engine->Stats().log_fsyncs, 0u);
-    engine->Stop();
-  }
-  std::vector<ReplayedBatch> batches;
-  LogScanStats scan;
-  ASSERT_TRUE(
-      ReadBatchLog(Dir("log"), LogEnv::Default(), &batches, &scan).ok());
-  EXPECT_EQ(scan.txns, kTxns);
-  auto oracle = FreshOracle();
-  ApplyBatches(&oracle, batches);
-
-  BohmConfig cfg = Config(Dir("log"), FsyncPolicy::kInterval);
-  cfg.durability.interval_us = 200;
-  auto engine = MakeEngine(cfg);
-  ASSERT_TRUE(engine->Recover().ok());
-  EXPECT_EQ(engine->recovery_stats().txns, kTxns);
-  ExpectStateEquals(*engine, oracle, "interval recovery");
   engine->Stop();
 }
 

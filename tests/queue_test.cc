@@ -130,8 +130,8 @@ TEST(MpmcQueueTest, ConcurrentProducersConsumersConserveSum) {
 }
 
 // ---------------------------------------------------------------------------
-// SpscQueue — the per-stage pipeline feed behind the streamed Bohm
-// handoff (sequencer -> CC / exec batch-id rings).
+// SpscQueue — the ring that hands sealed batch records from the Bohm
+// sequencer to the log-writer thread.
 // ---------------------------------------------------------------------------
 
 TEST(SpscQueueTest, PushPopSingleThread) {
